@@ -13,6 +13,8 @@
 //! batched-fleet, ordered-fleet, and
 //! hedge-chaos scenarios at a fixed seed, each row carrying its
 //! provenance (fault seed, lane/shard config, thread setting).
+//! A single-thread `bootstrap` row times one functional bootstrap at the
+//! `bootstrap_demo` parameters (one sample in `--quick` mode).
 //! CKKS records carry the measured op-count breakdown (`ntt_limbs`,
 //! `bconv_limb_products`, …, from `ckks::opcount`); the PIM record
 //! carries the analytic per-iteration `mmac_ops` and `bytes_internal` of
@@ -353,6 +355,74 @@ fn bench_ckks(params: CkksParams, budget: Budget, sweep: &[usize], records: &mut
         }),
     );
     parpool::set_threads(0);
+}
+
+/// The functional bootstrap row: one `BootstrapConfig::sparse_default()`
+/// bootstrap of a level-1 ciphertext at the `bootstrap_demo` parameters
+/// (N = 2⁹, L = 16, α = 4, h = 16), single-threaded. The first call warms
+/// up the memoized tables and supplies the op-count extras; quick mode then
+/// takes one timing sample.
+fn bench_bootstrap(quick: bool, records: &mut Vec<Record>) {
+    let params = CkksParams::builder()
+        .log_n(9)
+        .levels(16)
+        .alpha(4)
+        .scale_bits(42)
+        .q0_bits(50)
+        .p_bits(55)
+        .hamming_weight(16)
+        .build();
+    let ctx = CkksContext::new(params);
+    let bts = Bootstrapper::new(&ctx, BootstrapConfig::sparse_default());
+    let mut rng = StdRng::seed_from_u64(99);
+    let keys = KeyGenerator::new(&ctx, &mut rng).generate(&bts.required_rotations());
+    let enc = Encoder::new(&ctx);
+    let ev = Evaluator::new(&ctx);
+    let msg: Vec<Complex> = (0..ctx.slots())
+        .map(|_| Complex::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)))
+        .collect();
+    let ct = keys.public.encrypt(&enc.encode(&msg, 1), &mut rng);
+
+    parpool::set_threads(1);
+    opcount::reset();
+    let _ = bts.bootstrap(&ev, &enc, &ct, &keys);
+    let c = opcount::snapshot();
+    opcount::reset();
+    let budget = Budget {
+        samples: if quick { 1 } else { 3 },
+        min_iters: 1,
+        min_millis: 0,
+    };
+    let means = (0..budget.samples)
+        .map(|_| {
+            one_sample(budget, &mut || {
+                let _ = bts.bootstrap(&ev, &enc, &ct, &keys);
+            })
+        })
+        .collect();
+    let t = Timing::from_means(means);
+    parpool::set_threads(0);
+    println!(
+        "  bootstrap (n=2^9, sparse_default, 1 thread): {:.0} ms",
+        t.p50 / 1e6
+    );
+    records.push(Record {
+        op: "bootstrap",
+        n: ctx.n(),
+        limbs: ctx.max_level(),
+        threads: 1,
+        ns_per_op: t.mean,
+        ns_per_op_p50: t.p50,
+        samples: t.samples,
+        extras: vec![
+            ("ntt_limbs", c.ntt_limbs),
+            ("intt_limbs", c.intt_limbs),
+            ("bconv_limb_products", c.bconv_limb_products),
+            ("ew_limb_ops", c.ew_limb_ops),
+            ("automorphism_limbs", c.automorphism_limbs),
+            ("keyswitches", c.keyswitches),
+        ],
+    });
 }
 
 fn pim_fleet(
@@ -1176,6 +1246,7 @@ fn main() {
         );
         bench_ckks(params, budget, sweep, &mut ckks_records);
     }
+    bench_bootstrap(quick, &mut ckks_records);
     print_summary("CKKS", &ckks_records);
 
     let mut pim_records = Vec::new();

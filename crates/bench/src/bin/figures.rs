@@ -1,47 +1,49 @@
 //! Regenerates every table and figure of the Anaheim evaluation.
 //!
 //! Usage: `figures [fig1|fig2a|fig2b|fig2c|fig3|fig4a|fig4b|fig8|fig9|fig10|table3|table5|all]`
+//!
+//! An unknown name or an extra argument prints the usage on stderr and
+//! exits with status 2.
 
 use anaheim_bench::figures::*;
 
+/// Every printable figure, in the order `all` prints them.
+const FIGURES: [(&str, fn()); 12] = [
+    ("table3", print_table3),
+    ("fig1", print_fig1),
+    ("fig2a", print_fig2a),
+    ("fig2b", print_fig2b),
+    ("fig2c", print_fig2c),
+    ("fig3", print_fig3),
+    ("fig4a", print_fig4a),
+    ("fig4b", print_fig4b),
+    ("fig8", print_fig8),
+    ("fig9", print_fig9),
+    ("fig10", print_fig10),
+    ("table5", print_table5),
+];
+
+/// Reports a command-line problem on stderr and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+    eprintln!("figures: {msg}");
+    eprintln!("usage: figures [{}|all]", names.join("|"));
+    std::process::exit(2);
+}
+
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let all = arg == "all";
-    if all || arg == "table3" {
-        print_table3();
+    let mut args = std::env::args().skip(1);
+    let arg = args.next().unwrap_or_else(|| "all".into());
+    if let Some(extra) = args.next() {
+        usage_error(&format!("unexpected argument {extra:?}"));
     }
-    if all || arg == "fig1" {
-        print_fig1();
+    if arg == "all" {
+        FIGURES.iter().for_each(|(_, print)| print());
+        return;
     }
-    if all || arg == "fig2a" {
-        print_fig2a();
-    }
-    if all || arg == "fig2b" {
-        print_fig2b();
-    }
-    if all || arg == "fig2c" {
-        print_fig2c();
-    }
-    if all || arg == "fig3" {
-        print_fig3();
-    }
-    if all || arg == "fig4a" {
-        print_fig4a();
-    }
-    if all || arg == "fig4b" {
-        print_fig4b();
-    }
-    if all || arg == "fig8" {
-        print_fig8();
-    }
-    if all || arg == "fig9" {
-        print_fig9();
-    }
-    if all || arg == "fig10" {
-        print_fig10();
-    }
-    if all || arg == "table5" {
-        print_table5();
+    match FIGURES.iter().find(|(name, _)| *name == arg) {
+        Some((_, print)) => print(),
+        None => usage_error(&format!("unknown figure {arg:?}")),
     }
 }
 

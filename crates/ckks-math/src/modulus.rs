@@ -149,13 +149,25 @@ impl Modulus {
     #[inline]
     pub fn mul_shoup(&self, a: u64, b: u64, b_shoup: u64) -> u64 {
         debug_assert!(a < self.q);
-        let quo = ((a as u128 * b_shoup as u128) >> 64) as u64;
-        let r = a.wrapping_mul(b).wrapping_sub(quo.wrapping_mul(self.q));
+        let r = self.mul_shoup_lazy(a, b, b_shoup);
         if r >= self.q {
             r - self.q
         } else {
             r
         }
+    }
+
+    /// [`Self::mul_shoup`] without the final correction: for *any* `a`
+    /// (not only `a < q`) the result is `≡ a·b (mod q)` and lies in
+    /// `[0, 2q)`. This is Harvey's lazy butterfly multiply; the NTT keeps
+    /// its operands in `[0, 4q)`, which `q < 2^62` keeps below `2^64`.
+    ///
+    /// `b_shoup` must be `self.shoup(b)`.
+    #[inline]
+    pub fn mul_shoup_lazy(&self, a: u64, b: u64, b_shoup: u64) -> u64 {
+        debug_assert!(b < self.q);
+        let quo = ((a as u128 * b_shoup as u128) >> 64) as u64;
+        a.wrapping_mul(b).wrapping_sub(quo.wrapping_mul(self.q))
     }
 
     /// Modular exponentiation `a^e mod q` by square-and-multiply.
@@ -186,8 +198,18 @@ impl Modulus {
     /// Maps a signed value to its representative in `[0, q)`.
     #[inline]
     pub fn from_i64(&self, v: i64) -> u64 {
-        let r = v.rem_euclid(self.q as i64);
-        r as u64
+        // Encoded coefficients are almost always smaller than q: skip the
+        // division then.
+        let mag = v.unsigned_abs();
+        if mag < self.q {
+            if v < 0 {
+                self.q - mag
+            } else {
+                mag
+            }
+        } else {
+            v.rem_euclid(self.q as i64) as u64
+        }
     }
 
     /// Maps a residue to its centered representative in `(-q/2, q/2]`.
@@ -275,6 +297,30 @@ mod tests {
         assert_eq!(m.to_centered(16), -1);
         assert_eq!(m.from_i64(-1), 16);
         assert_eq!(m.from_i64(-17), 0);
+    }
+
+    #[test]
+    fn from_i64_matches_rem_euclid_at_the_edges() {
+        for m in [Modulus::new(17), q60(), Modulus::new((1 << 62) - 57)] {
+            let q = m.value() as i64;
+            for v in [0, 1, -1, q - 1, -(q - 1), q, -q, i64::MIN, i64::MAX] {
+                assert_eq!(m.from_i64(v), v.rem_euclid(q) as u64, "v = {v}, q = {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_shoup_stays_below_2q_for_any_input() {
+        let m = q60();
+        let q = m.value();
+        for b in [1u64, q - 1, q / 3] {
+            let bs = m.shoup(b);
+            for a in [0u64, q - 1, 2 * q - 1, 4 * q - 1, u64::MAX] {
+                let r = m.mul_shoup_lazy(a, b, bs);
+                assert!(r < 2 * q, "a = {a}, b = {b}: {r} not below 2q");
+                assert_eq!(r % q, ((a as u128 * b as u128) % q as u128) as u64);
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,17 @@
 //! Shoup's precomputed-quotient trick to avoid 128-bit division in the hot
 //! loop.
 //!
+//! Both transforms reduce lazily (Harvey's butterflies): the forward keeps
+//! every value in `[0, 4q)` and the inverse in `[0, 2q)`, twiddle products
+//! come from [`Modulus::mul_shoup_lazy`] in `[0, 2q)`, and one correction
+//! pass at the end maps the outputs back into `[0, q)`. The headroom this
+//! needs (`4q < 2^64`) is why [`Modulus::new`] requires `q < 2^62`. The
+//! inverse folds the `n⁻¹` scaling into its last stage, whose single twiddle
+//! is premultiplied by `n⁻¹`. Every step is exact modular arithmetic, so the
+//! fully reduced outputs are the same residues a transform reducing after
+//! every add and sub would give. The butterfly loops walk `chunks_exact_mut`
+//! blocks split into halves, which leaves no bounds checks in the hot loop.
+//!
 //! Besides the transforms, the context exposes the *evaluation-domain Galois
 //! permutation* used by HROT: applying the automorphism `X ↦ X^g` in the
 //! evaluation domain is a pure slot permutation, which this module derives
@@ -50,6 +61,10 @@ pub struct NttContext {
     inv_root_powers_shoup: Vec<u64>,
     n_inv: u64,
     n_inv_shoup: u64,
+    /// `inv_root_powers[1] · n⁻¹`: the last inverse stage's twiddle with
+    /// the final scaling folded in.
+    last_inv_twiddle: u64,
+    last_inv_twiddle_shoup: u64,
     /// Lazily derived: exponent `e_j` such that output slot `j` of the
     /// forward transform holds `a(ψ^{e_j})`, plus the inverse map.
     galois: OnceLock<GaloisTables>,
@@ -70,9 +85,9 @@ struct GaloisTables {
 /// Precomputed application tables for one Galois element `g`, covering both
 /// domains. Built once per `(context, g)` and shared via [`Arc`].
 #[derive(Debug)]
-struct GaloisPerm {
+pub(crate) struct GaloisPerm {
     /// Evaluation domain: `out[j] = in[eval_src[j]]`.
-    eval_src: Vec<u32>,
+    pub(crate) eval_src: Vec<u32>,
     /// Coefficient domain: source `i` lands at `coeff_dst[i]`…
     coeff_dst: Vec<u32>,
     /// …negated when the monomial wrapped past `X^n` (`X^n = -1`).
@@ -114,6 +129,8 @@ impl NttContext {
         let inv_root_powers_shoup = inv_root_powers.iter().map(|&w| modulus.shoup(w)).collect();
         let n_inv = modulus.inv(n as u64);
         let n_inv_shoup = modulus.shoup(n_inv);
+        let last_inv_twiddle = modulus.mul(inv_root_powers[1], n_inv);
+        let last_inv_twiddle_shoup = modulus.shoup(last_inv_twiddle);
         Self {
             n,
             log_n,
@@ -125,6 +142,8 @@ impl NttContext {
             inv_root_powers_shoup,
             n_inv,
             n_inv_shoup,
+            last_inv_twiddle,
+            last_inv_twiddle_shoup,
             galois: OnceLock::new(),
             galois_perms: RwLock::new(HashMap::new()),
         }
@@ -150,58 +169,80 @@ impl NttContext {
 
     /// In-place forward negacyclic NTT.
     ///
+    /// Input residues must lie in `[0, q)`; outputs are fully reduced.
+    ///
     /// # Panics
     ///
     /// Panics if `a.len() != n`.
     pub fn forward(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
-        let m = &self.modulus;
+        let m = self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
         let mut t = self.n;
         let mut stage = 1usize;
         while stage < self.n {
             t >>= 1;
-            for i in 0..stage {
-                let w = self.root_powers[stage + i];
-                let ws = self.root_powers_shoup[stage + i];
-                let j1 = 2 * i * t;
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = m.mul_shoup(a[j + t], w, ws);
-                    a[j] = m.add(u, v);
-                    a[j + t] = m.sub(u, v);
+            let w = &self.root_powers[stage..2 * stage];
+            let ws = &self.root_powers_shoup[stage..2 * stage];
+            for ((block, &w), &ws) in a.chunks_exact_mut(2 * t).zip(w).zip(ws) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                    // x, y ∈ [0, 4q) → x', y' ∈ [0, 4q).
+                    let u = if *x >= two_q { *x - two_q } else { *x };
+                    let v = m.mul_shoup_lazy(*y, w, ws);
+                    *x = u + v;
+                    *y = u + two_q - v;
                 }
             }
             stage <<= 1;
         }
+        for x in a.iter_mut() {
+            let v = if *x >= two_q { *x - two_q } else { *x };
+            *x = if v >= q { v - q } else { v };
+        }
     }
 
     /// In-place inverse negacyclic NTT (exact inverse of [`Self::forward`]).
+    ///
+    /// Input residues must lie in `[0, q)`; outputs are fully reduced.
     ///
     /// # Panics
     ///
     /// Panics if `a.len() != n`.
     pub fn inverse(&self, a: &mut [u64]) {
         assert_eq!(a.len(), self.n, "length mismatch");
-        let m = &self.modulus;
+        let m = self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
         let mut t = 1usize;
         let mut stage = self.n >> 1;
-        while stage >= 1 {
-            for i in 0..stage {
-                let w = self.inv_root_powers[stage + i];
-                let ws = self.inv_root_powers_shoup[stage + i];
-                let j1 = 2 * i * t;
-                for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = a[j + t];
-                    a[j] = m.add(u, v);
-                    a[j + t] = m.mul_shoup(m.sub(u, v), w, ws);
+        // Every stage but the last: x, y ∈ [0, 2q) → x', y' ∈ [0, 2q).
+        while stage > 1 {
+            let w = &self.inv_root_powers[stage..2 * stage];
+            let ws = &self.inv_root_powers_shoup[stage..2 * stage];
+            for ((block, &w), &ws) in a.chunks_exact_mut(2 * t).zip(w).zip(ws) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let (u, v) = (*x, *y);
+                    let s = u + v;
+                    *x = if s >= two_q { s - two_q } else { s };
+                    *y = m.mul_shoup_lazy(u + two_q - v, w, ws);
                 }
             }
             t <<= 1;
             stage >>= 1;
         }
-        for x in a.iter_mut() {
-            *x = m.mul_shoup(*x, self.n_inv, self.n_inv_shoup);
+        // Last stage (one block) with n⁻¹ folded into both outputs.
+        let (lo, hi) = a.split_at_mut(t);
+        let (ni, nis) = (self.n_inv, self.n_inv_shoup);
+        let (wn, wns) = (self.last_inv_twiddle, self.last_inv_twiddle_shoup);
+        for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+            let (u, v) = (*x, *y);
+            let s = m.mul_shoup_lazy(u + v, ni, nis);
+            let d = m.mul_shoup_lazy(u + two_q - v, wn, wns);
+            *x = if s >= q { s - q } else { s };
+            *y = if d >= q { d - q } else { d };
         }
     }
 
@@ -236,7 +277,7 @@ impl NttContext {
     /// # Panics
     ///
     /// Panics if `g` is even (such maps are not ring automorphisms here).
-    fn galois_perm(&self, g: u64) -> Arc<GaloisPerm> {
+    pub(crate) fn galois_perm(&self, g: u64) -> Arc<GaloisPerm> {
         assert!(g % 2 == 1, "galois element must be odd");
         let two_n = 2 * self.n as u64;
         let g = g % two_n;
@@ -401,6 +442,86 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The fully reducing butterflies the lazy transforms replaced: every
+    /// add, sub and twiddle product is reduced into `[0, q)` on the spot.
+    /// Kept only as the bit-exactness reference.
+    fn reference_forward(ctx: &NttContext, a: &mut [u64]) {
+        let m = &ctx.modulus;
+        let mut t = ctx.n;
+        let mut stage = 1usize;
+        while stage < ctx.n {
+            t >>= 1;
+            for i in 0..stage {
+                let w = ctx.root_powers[stage + i];
+                let ws = ctx.root_powers_shoup[stage + i];
+                let j1 = 2 * i * t;
+                for j in j1..j1 + t {
+                    let u = a[j];
+                    let v = m.mul_shoup(a[j + t], w, ws);
+                    a[j] = m.add(u, v);
+                    a[j + t] = m.sub(u, v);
+                }
+            }
+            stage <<= 1;
+        }
+    }
+
+    fn reference_inverse(ctx: &NttContext, a: &mut [u64]) {
+        let m = &ctx.modulus;
+        let mut t = 1usize;
+        let mut stage = ctx.n >> 1;
+        while stage >= 1 {
+            for i in 0..stage {
+                let w = ctx.inv_root_powers[stage + i];
+                let ws = ctx.inv_root_powers_shoup[stage + i];
+                let j1 = 2 * i * t;
+                for j in j1..j1 + t {
+                    let u = a[j];
+                    let v = a[j + t];
+                    a[j] = m.add(u, v);
+                    a[j + t] = m.mul_shoup(m.sub(u, v), w, ws);
+                }
+            }
+            t <<= 1;
+            stage >>= 1;
+        }
+        for x in a.iter_mut() {
+            *x = m.mul_shoup(*x, ctx.n_inv, ctx.n_inv_shoup);
+        }
+    }
+
+    #[test]
+    fn lazy_transforms_match_reference_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2025);
+        // 30 bits up to the largest NTT prime below 2^62 (the Modulus cap,
+        // where the lazy [0, 4q) range is tightest).
+        for n in [8usize, 1 << 9, 1 << 12, 1 << 15] {
+            for bits in [30u32, 45, 55, 60, 62] {
+                let ctx = ctx(n, bits);
+                let q = ctx.modulus().value();
+                let inputs: [Vec<u64>; 3] = [
+                    (0..n).map(|_| rng.gen_range(0..q)).collect(),
+                    vec![q - 1; n],
+                    (0..n).map(|i| if i % 2 == 0 { 0 } else { q - 1 }).collect(),
+                ];
+                for input in &inputs {
+                    let mut got = input.clone();
+                    let mut want = input.clone();
+                    ctx.forward(&mut got);
+                    reference_forward(&ctx, &mut want);
+                    assert_eq!(got, want, "forward, n = {n}, q = {q}");
+                    let mut got = input.clone();
+                    let mut want = input.clone();
+                    ctx.inverse(&mut got);
+                    reference_inverse(&ctx, &mut want);
+                    assert_eq!(got, want, "inverse, n = {n}, q = {q}");
+                }
+            }
+        }
     }
 
     #[test]

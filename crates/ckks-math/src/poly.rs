@@ -477,6 +477,46 @@ impl Poly {
         });
     }
 
+    /// Fused AutAccum `self += φ_g(a ⊙ b)` (evaluation domain): the PMULT,
+    /// the Galois automorphism `X ↦ X^g` and the accumulation of the
+    /// paper's Fig. 5 in one pass. Slot `j` gathers `a ⊙ b` at the
+    /// memoized source slot of `g`, so there is no clone and no temporary.
+    ///
+    /// `a` and `b` may carry more limbs than `self`; only the first
+    /// `self.num_limbs()` take part. This lets a PQ-basis plaintext serve
+    /// a Q-basis accumulator, since `basis_q(level)` is a prefix of
+    /// `basis_qp(level)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any operand is in the coefficient domain, if `a` or `b`
+    /// has fewer limbs than `self` or a different prime on a shared limb,
+    /// or if `g` is even.
+    pub fn aut_accum_assign(&mut self, a: &Poly, b: &Poly, g: u64) {
+        assert_eq!(self.format, Format::Eval, "AutAccum requires Eval");
+        for x in [a, b] {
+            assert_eq!(x.format, Format::Eval, "domain mismatch");
+            assert!(x.num_limbs() >= self.num_limbs(), "limb count mismatch");
+            for (d, s) in self.limbs.iter().zip(&x.limbs) {
+                assert_eq!(
+                    d.ctx.modulus().value(),
+                    s.ctx.modulus().value(),
+                    "modulus mismatch"
+                );
+            }
+        }
+        let n = self.n();
+        for_each_tuned(OpClass::Elementwise, n, &mut self.limbs, |i, dst| {
+            let m = *dst.ctx.modulus();
+            let perm = dst.ctx.galois_perm(g);
+            let (a, b) = (&a.limbs[i].data, &b.limbs[i].data);
+            for (d, &src) in dst.data.iter_mut().zip(&perm.eval_src) {
+                let s = src as usize;
+                *d = m.mul_add(a[s], b[s], *d);
+            }
+        });
+    }
+
     /// Multiplies each limb by a per-limb scalar (already reduced).
     ///
     /// # Panics
@@ -739,6 +779,38 @@ mod tests {
         want.mul_assign(&y);
         for (l, w) in acc.limbs().zip(want.limbs()) {
             assert_eq!(l.data(), w.data());
+        }
+    }
+
+    #[test]
+    fn aut_accum_matches_mul_automorphism_add() {
+        let n = 64;
+        let b = basis(n, 3);
+        let coeffs =
+            |k: i64| -> Vec<i64> { (0..n as i64).map(|i| (i * k + 7) % 53 - 26).collect() };
+        let mut x = Poly::from_coeff_i64(&b, &coeffs(5));
+        let mut y = Poly::from_coeff_i64(&b, &coeffs(11));
+        let mut acc = Poly::from_coeff_i64(&b, &coeffs(3));
+        x.to_eval();
+        y.to_eval();
+        acc.to_eval();
+        for g in [3u64, 5, 25, 2 * n as u64 - 1] {
+            let mut want = acc.clone();
+            let mut t = x.clone();
+            t.mul_assign(&y);
+            want.add_assign(&t.automorphism(g));
+            let mut got = acc.clone();
+            got.aut_accum_assign(&x, &y, g);
+            for (l, w) in got.limbs().zip(want.limbs()) {
+                assert_eq!(l.data(), w.data(), "galois element {g}");
+            }
+            // A shorter accumulator reads only the operands' leading limbs.
+            let mut short = acc.clone();
+            short.truncate_limbs(2);
+            short.aut_accum_assign(&x, &y, g);
+            for (l, w) in short.limbs().zip(want.limbs()) {
+                assert_eq!(l.data(), w.data(), "prefix, galois element {g}");
+            }
         }
     }
 

@@ -154,11 +154,17 @@ impl Profile {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self {
             par_eff: hw as f64,
-            dispatch_ns: 10_000.0,
+            // Two-thread fan-outs of 4–21-limb NTT batches at N = 2⁹–2¹²
+            // on a 2-vCPU host fit `serial / 1.3 + 25…47 µs`: a worker's
+            // wake-up and the caller's join cost tens of µs, far more than
+            // an empty fan-out shows.
+            dispatch_ns: 40_000.0,
             job_ns: 2_000.0,
             min_gain: 1.15,
-            // [elementwise, ntt, bconv, automorphism]
-            per_elem_ns: [0.9, 5.5, 3.0, 0.5],
+            // [elementwise, ntt, bconv, automorphism]. The NTT figure is
+            // the lazy-reduction transform's ≈ 3 ns per butterfly, i.e.
+            // ≈ 1.5 ns per element·log2 n.
+            per_elem_ns: [0.9, 1.5, 3.0, 0.5],
         }
     }
 

@@ -99,21 +99,32 @@ impl<'a> Encoder<'a> {
         let n = self.ctx.n();
         let m = n / 2;
         assert_eq!(slots.len(), m, "expected {m} slots");
-        let two_n = 2 * n;
+        // 2N is a power of two, so `mod 2N` is a mask.
+        let mask = 2 * n - 1;
         let mut coeffs = vec![0i64; n];
-        for (k, c) in coeffs.iter_mut().enumerate() {
-            // c_k = (Δ/M)·Re(Σ_j z_j·conj(ζ^{5^j·k}))
-            let mut acc = Complex::ZERO;
-            for (j, &z) in slots.iter().enumerate() {
-                let e = (self.rot_group[j] * k) % two_n;
-                acc += z * self.zeta_pows[e].conj();
+        // c_k = (Δ/M)·Re(Σ_j z_j·conj(ζ^{5^j·k})). Only the real part is
+        // accumulated: Re(z·conj(ζ)) = z.re·ζ.re + z.im·ζ.im is the same
+        // IEEE result as the real part of the full complex product. Four
+        // coefficients share each pass over the slots, each with its own
+        // accumulator, so every sum still runs in slot order.
+        const LANES: usize = 4;
+        for (chunk, out) in coeffs.chunks_mut(LANES).enumerate() {
+            let k0 = chunk * LANES;
+            let mut acc = [0.0f64; LANES];
+            for (&z, &g) in slots.iter().zip(&self.rot_group) {
+                for (lane, a) in acc.iter_mut().enumerate() {
+                    let zeta = self.zeta_pows[(g * (k0 + lane)) & mask];
+                    *a += z.re * zeta.re + z.im * zeta.im;
+                }
             }
-            let v = (scale / m as f64) * acc.re;
-            assert!(
-                v.abs() < 4.6e18,
-                "encoded coefficient overflows: message too large for scale"
-            );
-            *c = v.round() as i64;
+            for (c, a) in out.iter_mut().zip(acc) {
+                let v = (scale / m as f64) * a;
+                assert!(
+                    v.abs() < 4.6e18,
+                    "encoded coefficient overflows: message too large for scale"
+                );
+                *c = v.round() as i64;
+            }
         }
         coeffs
     }

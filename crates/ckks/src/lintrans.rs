@@ -14,6 +14,19 @@
 //!   large-cache ASICs, §III-C).
 //! - [`LinearTransform::eval_bsgs`] — **baby-step giant-step**: `O(√K)`
 //!   key switches, used inside bootstrapping.
+//!
+//! The hoisted evaluators ([`LinearTransform::eval_hoisted`] and
+//! [`LinearTransform::eval_bsgs_double_hoisted`]) regenerate each diagonal's
+//! plaintext on every call, as ARK's runtime data generation does, instead
+//! of storing the PQ-lifted plaintexts. Two things keep that cheap:
+//!
+//! - **Q-prefix reuse.** `basis_q(level)` is a prefix of
+//!   `basis_qp(level)`, so the first `level` limbs of the PQ plaintext *are*
+//!   the Q plaintext. Each diagonal is embedded, lifted and NTT'd once.
+//! - **Fused AutAccum.** `acc += φ_g(x ⊙ pt)` runs as one
+//!   [`Poly::aut_accum_assign`] pass per accumulator, which gathers the
+//!   product through the memoized Galois table with no clone of `x` and
+//!   no temporary.
 
 use std::collections::BTreeMap;
 
@@ -189,12 +202,8 @@ impl LinearTransform {
                 let mut pt = Poly::from_coeff_i64(&basis_q, &coeffs);
                 pt.to_eval();
                 opcount::count_ntt(level);
-                let mut tb = ct.b().clone();
-                tb.mul_assign(&pt);
-                acc_b.add_assign(&tb);
-                let mut ta = ct.a().clone();
-                ta.mul_assign(&pt);
-                acc_a0.add_assign(&ta);
+                acc_b.mac_assign(ct.b(), &pt);
+                acc_a0.mac_assign(ct.a(), &pt);
                 // Counted as fused multiply-accumulates (one PMAC per limb
                 // per channel), matching the IR convention.
                 opcount::count_ew(2 * level);
@@ -207,24 +216,16 @@ impl LinearTransform {
             // KeyMult in the extended modulus.
             let (kb, ka) = ev.key_switcher().key_mult(&hoisted, evk);
             // Plaintext lifted to PQ (hoisting enlarges plaintexts, Fig. 1).
+            // Its first `level` limbs are the Q-basis plaintext.
             let mut pt_pq = Poly::from_coeff_i64(&basis_qp, &coeffs);
             pt_pq.to_eval();
             opcount::count_ntt(basis_qp.len());
-            let mut pt_q = Poly::from_coeff_i64(&basis_q, &coeffs);
-            pt_q.to_eval();
-            opcount::count_ntt(level);
 
             let g = galois_for_rotation(ctx.n(), r as isize);
-            // PMULT then automorphism then accumulate (AutAccum).
-            let mut t0 = kb;
-            t0.mul_assign(&pt_pq);
-            acc0.add_assign(&t0.automorphism(g));
-            let mut t1 = ka;
-            t1.mul_assign(&pt_pq);
-            acc1.add_assign(&t1.automorphism(g));
-            let mut tb = ct.b().clone();
-            tb.mul_assign(&pt_q);
-            acc_b.add_assign(&tb.automorphism(g));
+            // PMULT then automorphism then accumulate (fused AutAccum).
+            acc0.aut_accum_assign(&kb, &pt_pq, g);
+            acc1.aut_accum_assign(&ka, &pt_pq, g);
+            acc_b.aut_accum_assign(ct.b(), &pt_pq, g);
             opcount::count_ew(4 * basis_qp.len() + 2 * level);
             opcount::count_automorphism(2 * basis_qp.len() + level);
         }
@@ -439,12 +440,8 @@ impl LinearTransform {
                     let coeffs = enc.embed(&rot_by(g_step), delta);
                     let mut pt = Poly::from_coeff_i64(&basis_q, &coeffs);
                     pt.to_eval();
-                    let mut tb = ct.b().clone();
-                    tb.mul_assign(&pt);
-                    acc_b.add_assign(&tb);
-                    let mut ta = ct.a().clone();
-                    ta.mul_assign(&pt);
-                    acc_a0.add_assign(&ta);
+                    acc_b.mac_assign(ct.b(), &pt);
+                    acc_a0.mac_assign(ct.a(), &pt);
                     opcount::count_ew(2 * level);
                     continue;
                 }
@@ -455,21 +452,15 @@ impl LinearTransform {
                 // so the baby automorphism can land after the PMAC: we fold
                 // φ_b into the accumulation by rotating the plaintext right
                 // by g_step only and applying φ_b to the product.
+                // The Q-basis plaintext is the first `level` limbs of the
+                // PQ one: one encoding, one NTT per limb.
                 let coeffs = enc.embed(&rot_by(r), delta);
                 let mut pt_pq = Poly::from_coeff_i64(&basis_qp, &coeffs);
                 pt_pq.to_eval();
-                let mut pt_q = Poly::from_coeff_i64(&basis_q, &coeffs);
-                pt_q.to_eval();
 
-                let mut t0 = kb.clone();
-                t0.mul_assign(&pt_pq);
-                acc0.add_assign(&t0.automorphism(g));
-                let mut t1 = ka.clone();
-                t1.mul_assign(&pt_pq);
-                acc1.add_assign(&t1.automorphism(g));
-                let mut tb = ct.b().clone();
-                tb.mul_assign(&pt_q);
-                acc_b.add_assign(&tb.automorphism(g));
+                acc0.aut_accum_assign(kb, &pt_pq, g);
+                acc1.aut_accum_assign(ka, &pt_pq, g);
+                acc_b.aut_accum_assign(ct.b(), &pt_pq, g);
                 opcount::count_ew(4 * basis_qp.len() + 2 * level);
                 opcount::count_automorphism(2 * basis_qp.len() + level);
             }
