@@ -47,6 +47,7 @@
 //! defaults.
 
 use anaheim_core::framework::{Anaheim, AnaheimConfig};
+use anaheim_core::schedule::RunOpts;
 use anaheim_core::telemetry::Telemetry;
 use ckks::keys::KeyGenerator;
 use ckks::keyswitch::KeySwitcher;
@@ -61,7 +62,7 @@ use pim::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use workloads::{run_workload_traced, Workload};
+use workloads::{run_workload_with, Workload};
 
 struct Record {
     op: &'static str,
@@ -517,7 +518,11 @@ fn emit_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) {
     let rt = Anaheim::new(AnaheimConfig::a100_near_bank());
     let w = Workload::boot();
     let mut tel = Telemetry::new(42);
-    let report = run_workload_traced(&rt, &w, &mut tel)
+    let opts = RunOpts {
+        health: None,
+        telemetry: Some(&mut tel),
+    };
+    let report = run_workload_with(&rt, &w, opts)
         .unwrap_or_else(|e| panic!("traced Bootstrap run failed: {e}"));
     let nums = report.outcome.expect("Bootstrap fits the A100");
     println!(

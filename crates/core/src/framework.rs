@@ -12,12 +12,11 @@ use pim::fault::FaultPlan;
 use pim::layout::LayoutPolicy;
 
 use crate::error::RunError;
-use crate::health::{HealthRegistry, RetryPolicy};
+use crate::health::RetryPolicy;
 use crate::ir::OpSequence;
 use crate::passes::{fuse, offload_measured, FusionConfig};
 use crate::report::ExecutionReport;
-use crate::schedule::{footprint_bytes, ScheduleMode, Scheduler, MAX_PIM_RETRIES};
-use crate::telemetry::Telemetry;
+use crate::schedule::{footprint_bytes, RunOpts, ScheduleMode, Scheduler, MAX_PIM_RETRIES};
 
 /// Whether the PIM devices participate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,119 +231,13 @@ impl Anaheim {
     /// assert!(report.pim_dram_bytes > 0, "element-wise blocks ran on PIM");
     /// ```
     pub fn run(&self, mut seq: OpSequence) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev).run(&seq)
-            }
-            _ => Scheduler::gpu_only(&self.model).run(&seq),
-        }
+        self.prepare(&mut seq);
+        self.scheduler().run(&seq, RunOpts::default())
     }
 
-    /// [`run`](Self::run) with telemetry: the schedule is additionally
-    /// recorded into `tel` as virtual-time spans and metrics.
-    ///
-    /// ```
-    /// use anaheim_core::build::{Builder, LinTransStyle};
-    /// use anaheim_core::framework::{Anaheim, AnaheimConfig};
-    /// use anaheim_core::params::ParamSet;
-    /// use anaheim_core::telemetry::Telemetry;
-    ///
-    /// let mut b = Builder::new(ParamSet::paper_default());
-    /// let seq = b.lintrans(54, 8, LinTransStyle::Hoisting, true);
-    /// let mut tel = Telemetry::new(42);
-    /// Anaheim::new(AnaheimConfig::a100_near_bank())
-    ///     .run_traced(seq, &mut tel)
-    ///     .expect("runs");
-    /// assert!(!tel.trace.is_empty());
-    /// assert!(tel.chrome_trace().contains("\"traceEvents\""));
-    /// ```
-    pub fn run_traced(
-        &self,
-        mut seq: OpSequence,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev).run_traced(&seq, tel)
-            }
-            _ => Scheduler::gpu_only(&self.model).run_traced(&seq, tel),
-        }
-    }
-
-    /// Runs a sequence without applying any passes (for ablations that
-    /// prepare the sequence manually).
-    pub fn run_prepared(&self, seq: &OpSequence) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => self.pim_scheduler(dev).run(seq),
-            _ => Scheduler::gpu_only(&self.model).run(seq),
-        }
-    }
-
-    /// [`run_prepared`](Self::run_prepared) with telemetry.
-    pub fn run_prepared_traced(
-        &self,
-        seq: &OpSequence,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => self.pim_scheduler(dev).run_traced(seq, tel),
-            _ => Scheduler::gpu_only(&self.model).run_traced(seq, tel),
-        }
-    }
-
-    /// Like [`Anaheim::run_prepared`], but breaker-gated through the given
-    /// [`HealthRegistry`]. The sequence must already be fused/offloaded —
-    /// the serving layer prepares requests in parallel and then schedules
-    /// them serially through this entry point.
-    pub fn run_prepared_with_health(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-    ) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                self.pim_scheduler(dev).run_with_health(seq, registry)
-            }
-            _ => Scheduler::gpu_only(&self.model).run(seq),
-        }
-    }
-
-    /// [`run_prepared_with_health`](Self::run_prepared_with_health) with
-    /// telemetry — the serving layer's traced dispatch path.
-    pub fn run_prepared_with_health_traced(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => self
-                .pim_scheduler(dev)
-                .run_with_health_traced(seq, registry, tel),
-            _ => Scheduler::gpu_only(&self.model).run_traced(seq, tel),
-        }
-    }
-
-    /// Prepares a sequence for [`Anaheim::run_prepared_with_health`]:
-    /// applies the configured fusion pipeline and, in PIM mode, the
-    /// measured offload pass. Pure — safe to run in parallel across
-    /// requests.
+    /// Prepares a sequence for [`Anaheim::scheduler`]: applies the
+    /// configured fusion pipeline and, in PIM mode, the measured offload
+    /// pass. Pure — safe to run in parallel across requests.
     pub fn prepare(&self, seq: &mut OpSequence) {
         fuse(seq, &self.config.fusion);
         if let (ExecMode::GpuWithPim, Some(dev)) = (self.config.mode, &self.config.pim) {
@@ -358,70 +251,56 @@ impl Anaheim {
         }
     }
 
-    /// Like [`Anaheim::run`], but with per-bank circuit breaking driven by
-    /// (and feeding back into) the given [`HealthRegistry`]. The registry
-    /// persists across calls — this is the entry point the serving layer
-    /// uses so one request's faults inform the routing of the next.
-    pub fn run_with_health(
-        &self,
-        mut seq: OpSequence,
-        registry: &mut HealthRegistry,
-    ) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
-        match (self.config.mode, &self.config.pim) {
+    /// The scheduler for this configuration: GPU + PIM in
+    /// [`ExecMode::GpuWithPim`] with a device, GPU-only otherwise, with the
+    /// configured retry policy, timeline mode and fault plan. This is the
+    /// only place a [`Scheduler`] is built from an [`AnaheimConfig`]. It
+    /// schedules sequences that [`prepare`](Self::prepare) has fused and
+    /// offloaded; a [`RunOpts`] adds a persistent
+    /// [`HealthRegistry`](crate::health::HealthRegistry) for per-bank
+    /// circuit breaking and a [`Telemetry`](crate::telemetry::Telemetry)
+    /// sink for virtual-time spans and metrics.
+    ///
+    /// ```
+    /// use anaheim_core::build::{Builder, LinTransStyle};
+    /// use anaheim_core::framework::{Anaheim, AnaheimConfig};
+    /// use anaheim_core::params::ParamSet;
+    /// use anaheim_core::schedule::RunOpts;
+    /// use anaheim_core::telemetry::Telemetry;
+    ///
+    /// let mut b = Builder::new(ParamSet::paper_default());
+    /// let mut seq = b.lintrans(54, 8, LinTransStyle::Hoisting, true);
+    /// let rt = Anaheim::new(AnaheimConfig::a100_near_bank());
+    /// rt.prepare(&mut seq);
+    /// let mut tel = Telemetry::new(42);
+    /// let opts = RunOpts {
+    ///     telemetry: Some(&mut tel),
+    ///     ..RunOpts::default()
+    /// };
+    /// rt.scheduler().run(&seq, opts).expect("runs");
+    /// assert!(!tel.trace.is_empty());
+    /// assert!(tel.chrome_trace().contains("\"traceEvents\""));
+    /// ```
+    pub fn scheduler(&self) -> Scheduler<'_> {
+        let s = match (self.config.mode, &self.config.pim) {
             (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev).run_with_health(&seq, registry)
+                Scheduler::with_pim(&self.model, dev, self.config.layout)
             }
-            _ => Scheduler::gpu_only(&self.model).run(&seq),
+            _ => Scheduler::gpu_only(&self.model),
         }
-    }
-
-    /// [`run_with_health`](Self::run_with_health) with telemetry.
-    pub fn run_with_health_traced(
-        &self,
-        mut seq: OpSequence,
-        registry: &mut HealthRegistry,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        fuse(&mut seq, &self.config.fusion);
-        match (self.config.mode, &self.config.pim) {
-            (ExecMode::GpuWithPim, Some(dev)) => {
-                offload_measured(
-                    &mut seq,
-                    &self.model,
-                    dev,
-                    self.config.layout,
-                    crate::schedule::TRANSITION_NS,
-                );
-                self.pim_scheduler(dev)
-                    .run_with_health_traced(&seq, registry, tel)
-            }
-            _ => Scheduler::gpu_only(&self.model).run_traced(&seq, tel),
+        .with_retry_policy(self.config.retry)
+        .with_mode(self.config.schedule);
+        match self.config.fault {
+            Some(plan) => s.with_fault_plan(plan),
+            None => s,
         }
-    }
-
-    fn pim_scheduler<'a>(&'a self, dev: &'a PimDeviceConfig) -> Scheduler<'a> {
-        let mut s = Scheduler::with_pim(&self.model, dev, self.config.layout)
-            .with_retry_policy(self.config.retry)
-            .with_mode(self.config.schedule);
-        if let Some(plan) = self.config.fault {
-            s = s.with_fault_plan(plan);
-        }
-        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::Builder;
+    use crate::build::{Builder, LinTransStyle};
     use crate::params::ParamSet;
 
     #[test]
@@ -495,6 +374,30 @@ mod tests {
         assert!(r.faults_detected > 0, "flips at p=0.5 must fire");
         assert!(r.degraded_segments > 0);
         assert!(r.total_ns > 0.0);
+    }
+
+    #[test]
+    fn gpu_only_runs_honour_the_fault_plan() {
+        // GPU stalls and transfer flips at p = 1 must hit every kernel of
+        // a GPU-only run, as they do on the GPU side of a PIM run.
+        let seq =
+            Builder::new(ParamSet::paper_default()).lintrans(54, 8, LinTransStyle::Hoisting, true);
+        let clean = Anaheim::new(AnaheimConfig::a100_baseline())
+            .run(seq.clone())
+            .unwrap();
+        let plan = FaultPlan::none()
+            .with_seed(3)
+            .with_gpu_stalls(1.0, 5000.0)
+            .with_gpu_transfer_flips(1.0);
+        let r = Anaheim::new(AnaheimConfig::a100_baseline().with_fault_plan(plan))
+            .run(seq)
+            .unwrap();
+        let kernels = clean.segments.len() as u32;
+        assert!(kernels > 0);
+        assert_eq!(r.gpu_stalls, kernels, "every launch stalls at p = 1");
+        assert_eq!(r.gpu_faults, kernels, "every transfer flips at p = 1");
+        assert!(r.integrity_failed);
+        assert!(r.total_ns > clean.total_ns);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Ops execute in issue order: GPU kernels run through the roofline model
 //! with the object-granularity L2 filtering DRAM traffic; consecutive PIM
-//! ops coalesce into one PIM kernel (large granularity, hundreds of µs);
-//! each GPU↔PIM transition pays the stream-queue handoff of ~2 µs, which
-//! §V-C shows is negligible at PIM-kernel granularity.
+//! ops form one PIM kernel run (large granularity, hundreds of µs); each
+//! GPU↔PIM transition pays the stream-queue handoff of ~2 µs, which §V-C
+//! shows is negligible at PIM-kernel granularity.
 //!
 //! With a [`FaultPlan`] attached, every PIM kernel runs under fault
 //! injection and its post-kernel integrity check can fail. The scheduler
@@ -16,7 +16,7 @@
 //! re-execution is charged to the timeline and recorded as a degraded
 //! segment.
 //!
-//! With a [`HealthRegistry`] attached ([`Scheduler::run_with_health`]), the
+//! With a [`HealthRegistry`] attached ([`RunOpts::health`]), the
 //! degradation becomes *bank-scoped and stateful*: each PIM kernel is
 //! attributed to a bank health domain (die group), integrity failures feed
 //! that domain's circuit breaker, open breakers route their kernels
@@ -25,6 +25,35 @@
 //! owning domain's breaker — permanently — instead of disabling PIM
 //! wholesale. The registry persists across runs, which is how the serving
 //! layer makes per-bank decisions *over time*.
+//!
+//! # One loop, two timelines
+//!
+//! [`Scheduler::run`] is one loop that visits the ops in issue order and
+//! dispatches each op when it is visited, so the stateful L2 model, the
+//! fault-injector stream and the breaker decisions consume the same
+//! sequence in every mode. What the [`ScheduleMode`] changes is only where
+//! a kernel may start, and that lives in a private `Timeline`:
+//!
+//! - `Serial` keeps one cursor: every handoff serializes the two engines.
+//! - `Pipelined` keeps one cursor per stream, the dependency horizon
+//!   (`writer_end` / `reader_end`: each object's last producer and
+//!   readers), the write-back barrier, and the stream-segment spans.
+//!
+//! Four differences between the modes are deliberate, and
+//! `crates/core/tests/schedule_digest.rs` pins them:
+//!
+//! 1. Serial builds and consults no dependency horizon. After a GPU
+//!    fallback inside a PIM run, serial resumes PIM with no handoff, where
+//!    the horizon would charge one on the cross-stream edge.
+//! 2. Without a registry, a hard fault disables PIM for the rest of the
+//!    run. In serial mode the rest of the current PIM run re-executes as
+//!    degraded GPU fallbacks with one handoff each; in pipelined mode later
+//!    PIM-tagged ops run as plain GPU kernels with L2 reuse.
+//! 3. Handoff spans: serial stamps `(now, now + T)`, pipelined stamps
+//!    `((start − T).max(0), start)`, which are not bit-equal in f64.
+//! 4. GPU kernel end times are `start + (cost + stall)` in both modes; the
+//!    two-stream pass used to compute `(start + cost) + stall`, which
+//!    differs only when a GPU stall is injected.
 
 use std::collections::HashMap;
 
@@ -33,12 +62,12 @@ use gpu::kernel::{KernelClass, KernelDesc};
 use gpu::model::GpuModel;
 use pim::device::PimDeviceConfig;
 use pim::error::PimError;
-use pim::exec::{PimExecutor, PimKernelSpec};
+use pim::exec::{PimExecutor, PimKernelResult, PimKernelSpec};
 use pim::fault::{BankDomain, FaultInjector, FaultPlan};
 use pim::layout::LayoutPolicy;
 
 use crate::error::RunError;
-use crate::health::{HealthRegistry, PathDecision, RetryPolicy};
+use crate::health::{BreakerTransition, HealthRegistry, PathDecision, RetryPolicy};
 use crate::ir::{Executor, ObjKind, Op, OpKind, OpSequence};
 use crate::report::{ExecutionReport, GanttSegment};
 use crate::telemetry::Telemetry;
@@ -68,6 +97,25 @@ pub enum ScheduleMode {
     Pipelined,
 }
 
+/// The optional state one [`Scheduler::run`] records into. The default
+/// records nothing and uses the legacy degradation path.
+#[derive(Debug, Default)]
+pub struct RunOpts<'r> {
+    /// Per-bank circuit breaking: PIM kernels are attributed to the
+    /// registry's bank domains, failures feed the domain breakers, and
+    /// kernels whose breaker is open run on the GPU directly. The registry
+    /// persists state across calls, so repeated runs (e.g. serving
+    /// requests) accumulate health history. `None` keeps the legacy
+    /// path: unscoped faults and a global PIM switch-off on the first
+    /// hard fault.
+    pub health: Option<&'r mut HealthRegistry>,
+    /// Records every kernel, handoff, backoff, and limb batch as
+    /// virtual-time spans and metrics (breaker transitions land on the
+    /// `health` track). Recording happens on the calling thread only, so
+    /// the exported trace is bit-identical across thread counts.
+    pub telemetry: Option<&'r mut Telemetry>,
+}
+
 /// Scheduler binding the execution engines.
 #[derive(Debug)]
 pub struct Scheduler<'a> {
@@ -95,12 +143,8 @@ impl<'a> Scheduler<'a> {
     /// GPU + PIM co-execution.
     pub fn with_pim(gpu: &'a GpuModel, dev: &'a PimDeviceConfig, layout: LayoutPolicy) -> Self {
         Self {
-            gpu,
             pim: Some((dev, layout)),
-            fault: None,
-            retry: RetryPolicy::fixed(MAX_PIM_RETRIES),
-            mode: ScheduleMode::Serial,
-            budget_ns: None,
+            ..Self::gpu_only(gpu)
         }
     }
 
@@ -115,7 +159,8 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Attaches a fault plan: PIM kernels run under fault injection and
-    /// degrade to the GPU when their integrity checks fail.
+    /// degrade to the GPU when their integrity checks fail, and GPU
+    /// kernels sample the plan's stream stalls and transfer flips.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
         self
@@ -129,9 +174,9 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    /// Attaches a deadline budget in virtual ns: at every segment boundary
-    /// (each op in issue order, each queued PIM kernel) the scheduler checks
-    /// the clock, and a run that is already past its budget stops there with
+    /// Attaches a deadline budget in virtual ns: before every op in issue
+    /// order and before every PIM kernel the scheduler checks the clock,
+    /// and a run that is already past its budget stops there with
     /// [`ExecutionReport::cancelled`] set instead of burning the remaining
     /// cost. A run whose last segment finishes late is *not* cancelled —
     /// the work is done, so it reports as an ordinary late completion.
@@ -141,33 +186,53 @@ impl<'a> Scheduler<'a> {
         self
     }
 
-    fn over_budget(&self, now: f64) -> bool {
-        self.budget_ns.is_some_and(|b| now > b)
-    }
-
-    /// Samples the GPU-side fault domain at one GPU kernel launch: returns
-    /// the extra latency of an injected stream stall, and fails the
-    /// end-to-end integrity verdict on an injected transfer bit flip (the
-    /// GPU path has no per-kernel residue check to catch it earlier).
-    /// Zero-probability plans draw nothing from the fault stream.
-    fn apply_gpu_faults(injector: &mut Option<FaultInjector>, report: &mut ExecutionReport) -> f64 {
-        let mut extra = 0.0;
-        if let Some(inj) = injector.as_mut() {
-            if let Some(stall) = inj.sample_gpu_stall() {
-                extra += stall;
-                report.gpu_stalls += 1;
-            }
-            if inj.sample_gpu_transfer_flip() {
-                report.gpu_faults += 1;
-                report.integrity_failed = true;
+    /// Runs the sequence and produces a report.
+    ///
+    /// Fails only on errors no fallback can absorb (e.g. a PIM instruction
+    /// unsupported at the configured buffer size), or with
+    /// [`RunError::HealthDomainMismatch`] if `opts.health` was sized for a
+    /// different device; integrity-check failures under an attached
+    /// [`FaultPlan`] are handled by retry/degradation and recorded in the
+    /// report instead.
+    pub fn run(&self, seq: &OpSequence, opts: RunOpts<'_>) -> Result<ExecutionReport, RunError> {
+        if let (Some(reg), Some((dev, _))) = (opts.health.as_deref(), self.pim) {
+            let device = dev.dram.geometry.die_groups;
+            if reg.domains() != device {
+                return Err(RunError::HealthDomainMismatch {
+                    registry: reg.domains(),
+                    device,
+                });
             }
         }
-        extra
+        let timeline = match (self.mode, self.pim) {
+            (ScheduleMode::Pipelined, Some(_)) => Timeline::Pipelined(Box::default()),
+            _ => Timeline::Serial { now: 0.0 },
+        };
+        let mut run = Run {
+            sched: self,
+            n: seq.params.n() as u64,
+            timeline,
+            report: ExecutionReport::default(),
+            cache: L2Cache::new(self.gpu.config().l2_bytes),
+            injector: self.fault.map(FaultInjector::new),
+            health: opts.health,
+            tel: opts.telemetry,
+            pim_disabled: false,
+            kernel_idx: 0,
+            last_exec: Executor::Gpu,
+        };
+        for op in &seq.ops {
+            if !run.dispatch(op)? {
+                run.report.cancelled = true;
+                break;
+            }
+        }
+        Ok(run.finish())
     }
 
     /// Integer ops a GPU kernel of this kind executes (one modmul ≈ 8
     /// 32-bit mul-adds plus surrounding adds, §III-A D2).
-    fn int_ops(&self, kind: &OpKind, n: u64) -> u64 {
+    fn int_ops(kind: &OpKind, n: u64) -> u64 {
         match *kind {
             OpKind::Ntt { limbs } | OpKind::Intt { limbs } => {
                 let log_n = 63 - n.leading_zeros() as u64;
@@ -194,1086 +259,6 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Runs the sequence and produces a report.
-    ///
-    /// Fails only on errors no fallback can absorb (e.g. a PIM instruction
-    /// unsupported at the configured buffer size); integrity-check failures
-    /// under an attached [`FaultPlan`] are handled by retry/degradation and
-    /// recorded in the report instead.
-    pub fn run(&self, seq: &OpSequence) -> Result<ExecutionReport, RunError> {
-        self.run_inner(seq, None, None)
-    }
-
-    /// [`run`](Self::run) with telemetry: every kernel, handoff, backoff,
-    /// and limb batch is recorded into `tel` as virtual-time spans and
-    /// metrics. Recording happens only on this serial scheduling path, so
-    /// the exported trace is bit-identical across thread counts.
-    pub fn run_traced(
-        &self,
-        seq: &OpSequence,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        self.run_inner(seq, None, Some(tel))
-    }
-
-    /// Runs the sequence with per-bank circuit breaking: PIM kernels are
-    /// attributed to the registry's bank domains, failures feed the
-    /// domain breakers, and kernels whose breaker is open skip PIM and run
-    /// on the GPU directly. The registry persists state across calls, so
-    /// repeated runs (e.g. serving requests) accumulate health history.
-    ///
-    /// Fails with [`RunError::HealthDomainMismatch`] if the registry was
-    /// sized for a different device.
-    pub fn run_with_health(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-    ) -> Result<ExecutionReport, RunError> {
-        self.check_domains(registry)?;
-        self.run_inner(seq, Some(registry), None)
-    }
-
-    /// [`run_with_health`](Self::run_with_health) with telemetry; breaker
-    /// transitions additionally land on the trace's `health` track.
-    pub fn run_with_health_traced(
-        &self,
-        seq: &OpSequence,
-        registry: &mut HealthRegistry,
-        tel: &mut Telemetry,
-    ) -> Result<ExecutionReport, RunError> {
-        self.check_domains(registry)?;
-        self.run_inner(seq, Some(registry), Some(tel))
-    }
-
-    fn check_domains(&self, registry: &HealthRegistry) -> Result<(), RunError> {
-        if let Some((dev, _)) = self.pim {
-            let device = dev.dram.geometry.die_groups;
-            if registry.domains() != device {
-                return Err(RunError::HealthDomainMismatch {
-                    registry: registry.domains(),
-                    device,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn run_inner(
-        &self,
-        seq: &OpSequence,
-        mut health: Option<&mut HealthRegistry>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<ExecutionReport, RunError> {
-        if self.mode == ScheduleMode::Pipelined && self.pim.is_some() {
-            return self.run_inner_pipelined(seq, health, tel);
-        }
-        let n = seq.params.n() as u64;
-        let mut report = ExecutionReport::default();
-        let mut cache = L2Cache::new(self.gpu.config().l2_bytes);
-        let mut now = 0.0f64;
-        let mut last_exec = Executor::Gpu;
-        let mut pim_batch: Vec<(PimKernelSpec, &'static str)> = Vec::new();
-        let mut injector = self.fault.map(FaultInjector::new);
-        let mut pim_disabled = false;
-        let mut kernel_idx = 0u64;
-
-        for op in &seq.ops {
-            if self.over_budget(now) {
-                report.cancelled = true;
-                break;
-            }
-            let target = if self.pim.is_some() && !pim_disabled {
-                op.executor
-            } else {
-                Executor::Gpu
-            };
-            match target {
-                Executor::Pim => {
-                    let (instr, limbs) = match op.kind {
-                        OpKind::Ew { instr, limbs } => (instr, limbs),
-                        _ => unreachable!("only element-wise ops are offloaded"),
-                    };
-                    if last_exec != Executor::Pim {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition(now, now + TRANSITION_NS);
-                        }
-                        now += TRANSITION_NS;
-                        report.transitions += 1;
-                        last_exec = Executor::Pim;
-                    }
-                    pim_batch.push((
-                        PimKernelSpec {
-                            instr,
-                            limbs,
-                            n: n as usize,
-                        },
-                        op.label,
-                    ));
-                }
-                Executor::Gpu => {
-                    if last_exec != Executor::Gpu {
-                        // Drain the queued PIM kernels first.
-                        if let Some(pim) = self.pim {
-                            self.flush_pim(
-                                &mut pim_batch,
-                                &mut now,
-                                &mut report,
-                                pim,
-                                &mut injector,
-                                &mut pim_disabled,
-                                health.as_deref_mut(),
-                                &mut kernel_idx,
-                                tel.as_deref_mut(),
-                            )?;
-                        }
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition(now, now + TRANSITION_NS);
-                        }
-                        now += TRANSITION_NS;
-                        report.transitions += 1;
-                        last_exec = Executor::Gpu;
-                    }
-                    let (class_label, class) = Self::kernel_class(&op.kind);
-                    let desc = self.describe_gpu_op(op, n, class, &mut cache);
-                    let cost = self.gpu.cost(&desc);
-                    report.gpu_dram_bytes += desc.dram_bytes();
-                    report.energy_j += cost.energy_j;
-                    let stall = Self::apply_gpu_faults(&mut injector, &mut report);
-                    let start = now;
-                    now += cost.time_ns + stall;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.gpu_kernel(
-                            op.label,
-                            class_label,
-                            start,
-                            now,
-                            desc.dram_bytes(),
-                            cost.bandwidth_bound,
-                            false,
-                        );
-                    }
-                    report.push_segment(GanttSegment {
-                        start_ns: start,
-                        end_ns: now,
-                        executor: Executor::Gpu,
-                        class: class_label,
-                        label: op.label,
-                        degraded: false,
-                    });
-                }
-            }
-        }
-        if let Some(pim) = self.pim {
-            self.flush_pim(
-                &mut pim_batch,
-                &mut now,
-                &mut report,
-                pim,
-                &mut injector,
-                &mut pim_disabled,
-                health,
-                &mut kernel_idx,
-                tel.as_deref_mut(),
-            )?;
-        }
-        report.total_ns = now;
-        if let Some(t) = tel {
-            t.run_complete(&report);
-        }
-        Ok(report)
-    }
-
-    /// The pipelined two-stream pass. Ops are still visited in issue order
-    /// — so the stateful L2 model, the fault-injector stream, and breaker
-    /// decisions consume exactly the serial sequence — but each op is
-    /// placed on its own stream's cursor at the earliest point its data
-    /// dependencies allow. A dependency whose producer ran on the other
-    /// stream pays one [`TRANSITION_NS`] handoff; same-stream work queues
-    /// back-to-back for free. Coherence write-backs carry no tracked
-    /// read/write sets, so every PIM kernel additionally waits for the
-    /// last write-back to land plus one handoff — the conservative barrier
-    /// that keeps PIM from reading stale bank rows.
-    ///
-    /// `report.transitions` uses the same counting rule as serial mode
-    /// (issue-order executor switches plus one per GPU fallback), so for a
-    /// fault-free run `total_ns + stream_overlap_ns` reconstructs the
-    /// serial makespan exactly.
-    fn run_inner_pipelined(
-        &self,
-        seq: &OpSequence,
-        mut health: Option<&mut HealthRegistry>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<ExecutionReport, RunError> {
-        let n = seq.params.n() as u64;
-        let (dev, layout) = self.pim.expect("pipelined pass requires a PIM device");
-        let exec = PimExecutor::new(dev, layout);
-        let mut report = ExecutionReport::default();
-        let mut cache = L2Cache::new(self.gpu.config().l2_bytes);
-        let mut injector = self.fault.map(FaultInjector::new);
-        let mut pim_disabled = false;
-        let mut kernel_idx = 0u64;
-
-        // Stream cursors and the dependency horizon. `writer_end` maps an
-        // object to its last producer's completion (overwrite: builders
-        // allocate SSA-style, so the last write in issue order is the
-        // program-order dependency); `reader_end` max-merges, because a
-        // later-issued reader can finish earlier on the other stream.
-        let mut gpu_now = 0.0f64;
-        let mut pim_now = 0.0f64;
-        let mut last_flush_end = 0.0f64;
-        let mut writer_end: HashMap<u64, (f64, Executor)> = HashMap::new();
-        let mut reader_end: HashMap<u64, (f64, Executor)> = HashMap::new();
-
-        let mut last_exec = Executor::Gpu;
-        // Issue-order run-length segments per stream, for telemetry.
-        let mut seg_idx = 0u32;
-        let mut prev_seg_end = 0.0f64;
-        let mut cur_seg: Option<(Executor, f64, f64, u32, f64)> = None;
-
-        for op in &seq.ops {
-            if self.over_budget(gpu_now.max(pim_now)) {
-                report.cancelled = true;
-                break;
-            }
-            let target = if !pim_disabled {
-                op.executor
-            } else {
-                Executor::Gpu
-            };
-            let ready = Self::dep_ready_ns(op, target, &writer_end, &reader_end);
-            let (start, done, done_on) = match target {
-                Executor::Gpu => {
-                    let (class_label, class) = Self::kernel_class(&op.kind);
-                    let desc = self.describe_gpu_op(op, n, class, &mut cache);
-                    let cost = self.gpu.cost(&desc);
-                    report.gpu_dram_bytes += desc.dram_bytes();
-                    report.energy_j += cost.energy_j;
-                    let stall = Self::apply_gpu_faults(&mut injector, &mut report);
-                    let start = gpu_now.max(ready);
-                    if last_exec != Executor::Gpu {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition((start - TRANSITION_NS).max(0.0), start);
-                        }
-                        report.transitions += 1;
-                        last_exec = Executor::Gpu;
-                    }
-                    let end = start + cost.time_ns + stall;
-                    gpu_now = end;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.gpu_kernel(
-                            op.label,
-                            class_label,
-                            start,
-                            end,
-                            desc.dram_bytes(),
-                            cost.bandwidth_bound,
-                            false,
-                        );
-                    }
-                    report.push_segment(GanttSegment {
-                        start_ns: start,
-                        end_ns: end,
-                        executor: Executor::Gpu,
-                        class: class_label,
-                        label: op.label,
-                        degraded: false,
-                    });
-                    if matches!(op.kind, OpKind::WriteBack { .. }) {
-                        last_flush_end = end;
-                    }
-                    (start, end, Executor::Gpu)
-                }
-                Executor::Pim => {
-                    let (instr, limbs) = match op.kind {
-                        OpKind::Ew { instr, limbs } => (instr, limbs),
-                        _ => unreachable!("only element-wise ops are offloaded"),
-                    };
-                    let spec = PimKernelSpec {
-                        instr,
-                        limbs,
-                        n: n as usize,
-                    };
-                    let kid = kernel_idx;
-                    kernel_idx += 1;
-                    let start = pim_now.max(ready).max(last_flush_end + TRANSITION_NS);
-                    if last_exec != Executor::Pim {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.transition((start - TRANSITION_NS).max(0.0), start);
-                        }
-                        report.transitions += 1;
-                        last_exec = Executor::Pim;
-                    }
-                    let (done, done_on) = match health.as_deref_mut() {
-                        Some(reg) => self.pipelined_kernel_with_health(
-                            &exec,
-                            spec,
-                            op.label,
-                            start,
-                            &mut pim_now,
-                            &mut gpu_now,
-                            &mut report,
-                            dev,
-                            &mut injector,
-                            reg,
-                            kid,
-                            tel.as_deref_mut(),
-                        )?,
-                        None => self.pipelined_kernel_legacy(
-                            &exec,
-                            spec,
-                            op.label,
-                            start,
-                            &mut pim_now,
-                            &mut gpu_now,
-                            &mut report,
-                            dev,
-                            &mut injector,
-                            &mut pim_disabled,
-                            kid,
-                            tel.as_deref_mut(),
-                        )?,
-                    };
-                    (start, done, done_on)
-                }
-            };
-            Self::note_completion(op, done, done_on, &mut writer_end, &mut reader_end);
-            match cur_seg.as_mut() {
-                Some(s) if s.0 == target => {
-                    s.2 = s.2.max(done);
-                    s.3 += 1;
-                }
-                _ => {
-                    if let Some((ex, s0, s1, ops, slide)) = cur_seg.take() {
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.stream_segment(Self::stream_name(ex), seg_idx, s0, s1, ops, slide);
-                        }
-                        seg_idx += 1;
-                        prev_seg_end = s1;
-                    }
-                    let slide = if seg_idx == 0 {
-                        0.0
-                    } else {
-                        (prev_seg_end + TRANSITION_NS - start).max(0.0)
-                    };
-                    cur_seg = Some((target, start, done, 1, slide));
-                }
-            }
-        }
-        if let Some((ex, s0, s1, ops, slide)) = cur_seg.take() {
-            if let Some(t) = tel.as_deref_mut() {
-                t.stream_segment(Self::stream_name(ex), seg_idx, s0, s1, ops, slide);
-            }
-        }
-        report.total_ns = gpu_now.max(pim_now);
-        // How much virtual time the two streams hid: the serial-equivalent
-        // span (kernels + handoffs + backoff) minus the pipelined makespan.
-        let kernel_ns: f64 = report.breakdown_ns.values().sum();
-        let serial_equiv =
-            kernel_ns + f64::from(report.transitions) * TRANSITION_NS + report.backoff_ns;
-        report.stream_overlap_ns = (serial_equiv - report.total_ns).max(0.0);
-        if let Some(t) = tel {
-            t.stream_overlap(report.stream_overlap_ns);
-            t.run_complete(&report);
-        }
-        Ok(report)
-    }
-
-    fn stream_name(ex: Executor) -> &'static str {
-        match ex {
-            Executor::Gpu => "gpu",
-            Executor::Pim => "pim",
-        }
-    }
-
-    /// Earliest start permitted by `op`'s RAW/WAR/WAW dependencies, with a
-    /// [`TRANSITION_NS`] penalty on every edge whose other endpoint ran on
-    /// the opposite stream.
-    fn dep_ready_ns(
-        op: &Op,
-        target: Executor,
-        writer_end: &HashMap<u64, (f64, Executor)>,
-        reader_end: &HashMap<u64, (f64, Executor)>,
-    ) -> f64 {
-        let cross = |(t, e): (f64, Executor)| {
-            if e == target {
-                t
-            } else {
-                t + TRANSITION_NS
-            }
-        };
-        let mut ready = 0.0f64;
-        for r in &op.reads {
-            if let Some(&w) = writer_end.get(&r.id) {
-                ready = ready.max(cross(w));
-            }
-        }
-        for w in &op.writes {
-            if let Some(&p) = writer_end.get(&w.id) {
-                ready = ready.max(cross(p));
-            }
-            if let Some(&p) = reader_end.get(&w.id) {
-                ready = ready.max(cross(p));
-            }
-        }
-        ready
-    }
-
-    /// Publishes `op`'s completion into the dependency horizon.
-    fn note_completion(
-        op: &Op,
-        end: f64,
-        on: Executor,
-        writer_end: &mut HashMap<u64, (f64, Executor)>,
-        reader_end: &mut HashMap<u64, (f64, Executor)>,
-    ) {
-        for r in &op.reads {
-            let e = reader_end.entry(r.id).or_insert((end, on));
-            if end >= e.0 {
-                *e = (end, on);
-            }
-        }
-        for w in &op.writes {
-            writer_end.insert(w.id, (end, on));
-        }
-    }
-
-    /// Pipelined twin of [`Self::run_kernel_legacy`]: attempts, retries,
-    /// and backoff charge the PIM stream from `start`; a GPU fallback
-    /// queues behind the GPU stream after one handoff. Returns the op's
-    /// completion time and which engine finished it.
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_kernel_legacy(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        start: f64,
-        pim_now: &mut f64,
-        gpu_now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        pim_disabled: &mut bool,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(f64, Executor), RunError> {
-        let mut cursor = start;
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults(&spec, inj),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(
-                        &r,
-                        label,
-                        false,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    *pim_now = cursor;
-                    return Ok((cursor, Executor::Pim));
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fault();
-                    }
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    if violation.is_permanent() {
-                        *pim_disabled = true;
-                    } else if retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            &mut cursor,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.retry();
-                        }
-                        continue;
-                    }
-                    report.pim_fallbacks += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fallback();
-                    }
-                    *pim_now = cursor;
-                    let done = self.pipelined_fallback(
-                        exec, &spec, label, cursor, gpu_now, report, injector, tel,
-                    );
-                    return Ok((done, Executor::Gpu));
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-    }
-
-    /// Pipelined twin of [`Self::run_kernel_with_health`]: breaker-gated
-    /// routing with the attempt clock on the PIM stream and fallbacks on
-    /// the GPU stream.
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_kernel_with_health(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        start: f64,
-        pim_now: &mut f64,
-        gpu_now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        reg: &mut HealthRegistry,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(f64, Executor), RunError> {
-        let domains = reg.domains() as u32;
-        let bank = reg.assign_domain();
-        let domain = BankDomain::new(bank, domains);
-        let (decision, transition) = reg.decide(bank, start);
-        if let Some(t) = transition {
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_transition(&t, start);
-            }
-            report.breaker_transitions.push(t);
-        }
-        if decision == PathDecision::Skip {
-            report.breaker_skips += 1;
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_skip();
-            }
-            // No PIM attempt was made, so the PIM cursor does not move.
-            let done =
-                self.pipelined_fallback(exec, &spec, label, start, gpu_now, report, injector, tel);
-            return Ok((done, Executor::Gpu));
-        }
-        let mut cursor = start;
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults_scoped(&spec, inj, Some(domain)),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(
-                        &r,
-                        label,
-                        false,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    if let Some(t) = reg.on_success(bank, cursor) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, cursor);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    *pim_now = cursor;
-                    return Ok((cursor, Executor::Pim));
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    reg.counters.faults_detected += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fault();
-                    }
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        &mut cursor,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    let permanent = violation.is_permanent();
-                    if !permanent
-                        && decision == PathDecision::Allow
-                        && retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            &mut cursor,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        reg.counters.pim_retries += 1;
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.retry();
-                        }
-                        continue;
-                    }
-                    if let Some(t) = reg.on_failure(bank, permanent, cursor, violation.cause()) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, cursor);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    report.pim_fallbacks += 1;
-                    reg.counters.gpu_fallbacks += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fallback();
-                    }
-                    *pim_now = cursor;
-                    let done = self.pipelined_fallback(
-                        exec, &spec, label, cursor, gpu_now, report, injector, tel,
-                    );
-                    return Ok((done, Executor::Gpu));
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-    }
-
-    /// Pipelined twin of [`Self::fallback_on_gpu`]: the re-dispatch pays
-    /// one handoff from the failed attempt's end and then queues behind
-    /// whatever the GPU stream is already running, so a fallback can never
-    /// overlap another kernel on the same engine.
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_fallback(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: &PimKernelSpec,
-        label: &'static str,
-        fail_end: f64,
-        gpu_now: &mut f64,
-        report: &mut ExecutionReport,
-        injector: &mut Option<FaultInjector>,
-        mut tel: Option<&mut Telemetry>,
-    ) -> f64 {
-        let start = gpu_now.max(fail_end + TRANSITION_NS);
-        if let Some(t) = tel.as_deref_mut() {
-            t.transition((start - TRANSITION_NS).max(0.0), start);
-        }
-        report.transitions += 1;
-        let p = spec.instr.profile();
-        let dram_read = (p.total_reads() * spec.limbs * spec.n * 4) as u64;
-        let dram_write = exec.gpu_bytes_equivalent(spec) - dram_read;
-        let int_ops = (spec.n * spec.limbs) as u64 * spec.instr.mmac_ops_per_element() as u64 * 6;
-        let desc = KernelDesc::new(KernelClass::ElementWise, int_ops, dram_read, dram_write);
-        let cost = self.gpu.cost(&desc);
-        report.gpu_dram_bytes += desc.dram_bytes();
-        report.energy_j += cost.energy_j;
-        let stall = Self::apply_gpu_faults(injector, report);
-        let end = start + cost.time_ns + stall;
-        if let Some(t) = tel {
-            t.gpu_kernel(
-                label,
-                "element-wise",
-                start,
-                end,
-                desc.dram_bytes(),
-                cost.bandwidth_bound,
-                true,
-            );
-        }
-        report.push_segment(GanttSegment {
-            start_ns: start,
-            end_ns: end,
-            executor: Executor::Gpu,
-            class: "element-wise",
-            label,
-            degraded: true,
-        });
-        *gpu_now = end;
-        end
-    }
-
-    /// Drains queued PIM kernels: executes each (under fault injection when
-    /// configured), retries transient integrity failures under the retry
-    /// policy, and re-executes on the GPU what PIM cannot complete. With a
-    /// [`HealthRegistry`] attached, routing is breaker-gated per bank
-    /// domain instead of the legacy global `pim_disabled` switch.
-    #[allow(clippy::too_many_arguments)]
-    fn flush_pim(
-        &self,
-        batch: &mut Vec<(PimKernelSpec, &'static str)>,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        pim: (&PimDeviceConfig, LayoutPolicy),
-        injector: &mut Option<FaultInjector>,
-        pim_disabled: &mut bool,
-        mut health: Option<&mut HealthRegistry>,
-        kernel_idx: &mut u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(), RunError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let exec = PimExecutor::new(pim.0, pim.1);
-        for (spec, label) in batch.drain(..) {
-            if self.over_budget(*now) {
-                // Budget ran out between queued kernels: drop the rest of
-                // the batch (the drain consumes it) and cancel the run.
-                report.cancelled = true;
-                break;
-            }
-            let kid = *kernel_idx;
-            *kernel_idx += 1;
-            match health.as_deref_mut() {
-                Some(reg) => {
-                    self.run_kernel_with_health(
-                        &exec,
-                        spec,
-                        label,
-                        now,
-                        report,
-                        pim.0,
-                        injector,
-                        reg,
-                        kid,
-                        tel.as_deref_mut(),
-                    )?;
-                }
-                None => {
-                    self.run_kernel_legacy(
-                        &exec,
-                        spec,
-                        label,
-                        now,
-                        report,
-                        pim.0,
-                        injector,
-                        pim_disabled,
-                        kid,
-                        tel.as_deref_mut(),
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Charges a PIM attempt (successful or wasted) to the timeline.
-    #[allow(clippy::too_many_arguments)]
-    fn charge_pim_segment(
-        &self,
-        r: &pim::exec::PimKernelResult,
-        label: &'static str,
-        degraded: bool,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        tel: Option<&mut Telemetry>,
-    ) {
-        let start = *now;
-        *now += r.latency_ns;
-        report.energy_j += r.energy_joules(dev);
-        report.pim_dram_bytes += r.bytes_internal;
-        if let Some(t) = tel {
-            t.pim_kernel(label, start, *now, r, degraded);
-        }
-        report.push_segment(GanttSegment {
-            start_ns: start,
-            end_ns: *now,
-            executor: Executor::Pim,
-            class: "element-wise",
-            label,
-            degraded,
-        });
-    }
-
-    /// Computes (and charges, if affordable) the backoff before the next
-    /// retry of kernel `kid`. Returns false when the backoff budget is
-    /// exhausted and the kernel should fall back instead.
-    fn charge_backoff(
-        &self,
-        kid: u64,
-        attempt: u32,
-        backoff_spent: &mut f64,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        tel: Option<&mut Telemetry>,
-    ) -> bool {
-        let b = self.retry.backoff_ns(kid, attempt);
-        if *backoff_spent + b > self.retry.budget_ns {
-            return false;
-        }
-        if let Some(t) = tel {
-            if b > 0.0 {
-                t.backoff(*now, *now + b);
-            }
-        }
-        *backoff_spent += b;
-        *now += b;
-        report.backoff_ns += b;
-        true
-    }
-
-    /// The legacy (registry-free) degradation path: policy-driven retries
-    /// and a global PIM kill switch on the first hard fault.
-    #[allow(clippy::too_many_arguments)]
-    fn run_kernel_legacy(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        pim_disabled: &mut bool,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(), RunError> {
-        if *pim_disabled {
-            // A prior hard fault took the PIM path out; the rest of the
-            // batch re-executes on the GPU.
-            self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-            return Ok(());
-        }
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults(&spec, inj),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(&r, label, false, now, report, dev, tel.as_deref_mut());
-                    break;
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fault();
-                    }
-                    // The failed attempt still burned time and energy.
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        now,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    if violation.is_permanent() {
-                        // Hard fault (stuck MMAC lane): retrying on PIM
-                        // cannot succeed — disable the path for good.
-                        *pim_disabled = true;
-                    } else if retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            now,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        if let Some(t) = tel.as_deref_mut() {
-                            t.retry();
-                        }
-                        continue;
-                    }
-                    report.pim_fallbacks += 1;
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.fallback();
-                    }
-                    self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-                    break;
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// The breaker-gated degradation path: the kernel is attributed to a
-    /// bank health domain, an open breaker routes it straight to the GPU,
-    /// and its outcome feeds the domain's breaker. Faults are scoped to
-    /// the owning domain ([`PimExecutor::execute_with_faults_scoped`]), so
-    /// a stuck lane sickens one die group instead of the whole device.
-    #[allow(clippy::too_many_arguments)]
-    fn run_kernel_with_health(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: PimKernelSpec,
-        label: &'static str,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        dev: &PimDeviceConfig,
-        injector: &mut Option<FaultInjector>,
-        reg: &mut HealthRegistry,
-        kid: u64,
-        mut tel: Option<&mut Telemetry>,
-    ) -> Result<(), RunError> {
-        let domains = reg.domains() as u32;
-        let bank = reg.assign_domain();
-        let domain = BankDomain::new(bank, domains);
-        let (decision, transition) = reg.decide(bank, *now);
-        if let Some(t) = transition {
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_transition(&t, *now);
-            }
-            report.breaker_transitions.push(t);
-        }
-        if decision == PathDecision::Skip {
-            report.breaker_skips += 1;
-            if let Some(tl) = tel.as_deref_mut() {
-                tl.breaker_skip();
-            }
-            self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-            return Ok(());
-        }
-        let mut retries = 0u32;
-        let mut backoff_spent = 0.0f64;
-        loop {
-            let outcome = match injector.as_mut() {
-                Some(inj) => exec.execute_with_faults_scoped(&spec, inj, Some(domain)),
-                None => exec.execute(&spec),
-            };
-            match outcome {
-                Ok(r) => {
-                    self.charge_pim_segment(&r, label, false, now, report, dev, tel.as_deref_mut());
-                    if let Some(t) = reg.on_success(bank, *now) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, *now);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    break;
-                }
-                Err(PimError::IntegrityViolation(violation)) => {
-                    report.faults_detected += 1;
-                    reg.counters.faults_detected += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fault();
-                    }
-                    self.charge_pim_segment(
-                        &violation.wasted,
-                        label,
-                        true,
-                        now,
-                        report,
-                        dev,
-                        tel.as_deref_mut(),
-                    );
-                    let permanent = violation.is_permanent();
-                    // A half-open probe gets exactly one attempt; hard
-                    // faults are never retried.
-                    if !permanent
-                        && decision == PathDecision::Allow
-                        && retries < self.retry.max_retries
-                        && self.charge_backoff(
-                            kid,
-                            retries + 1,
-                            &mut backoff_spent,
-                            now,
-                            report,
-                            tel.as_deref_mut(),
-                        )
-                    {
-                        retries += 1;
-                        report.pim_retries += 1;
-                        reg.counters.pim_retries += 1;
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.retry();
-                        }
-                        continue;
-                    }
-                    if let Some(t) = reg.on_failure(bank, permanent, *now, violation.cause()) {
-                        if let Some(tl) = tel.as_deref_mut() {
-                            tl.breaker_transition(&t, *now);
-                        }
-                        report.breaker_transitions.push(t);
-                    }
-                    report.pim_fallbacks += 1;
-                    reg.counters.gpu_fallbacks += 1;
-                    if let Some(tl) = tel.as_deref_mut() {
-                        tl.fallback();
-                    }
-                    self.fallback_on_gpu(exec, &spec, label, now, report, injector, tel);
-                    break;
-                }
-                Err(e) => return Err(RunError::Pim(e)),
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-executes a failed PIM kernel on the GPU. The operands are
-    /// PIM-resident, so the kernel streams everything through DRAM with no
-    /// L2 reuse, and the re-dispatch pays one PIM→GPU handoff.
-    #[allow(clippy::too_many_arguments)]
-    fn fallback_on_gpu(
-        &self,
-        exec: &PimExecutor<'_>,
-        spec: &PimKernelSpec,
-        label: &'static str,
-        now: &mut f64,
-        report: &mut ExecutionReport,
-        injector: &mut Option<FaultInjector>,
-        mut tel: Option<&mut Telemetry>,
-    ) {
-        if let Some(t) = tel.as_deref_mut() {
-            t.transition(*now, *now + TRANSITION_NS);
-        }
-        *now += TRANSITION_NS;
-        report.transitions += 1;
-        let p = spec.instr.profile();
-        let dram_read = (p.total_reads() * spec.limbs * spec.n * 4) as u64;
-        let dram_write = exec.gpu_bytes_equivalent(spec) - dram_read;
-        let int_ops = (spec.n * spec.limbs) as u64 * spec.instr.mmac_ops_per_element() as u64 * 6;
-        let desc = KernelDesc::new(KernelClass::ElementWise, int_ops, dram_read, dram_write);
-        let cost = self.gpu.cost(&desc);
-        report.gpu_dram_bytes += desc.dram_bytes();
-        report.energy_j += cost.energy_j;
-        let stall = Self::apply_gpu_faults(injector, report);
-        let start = *now;
-        *now += cost.time_ns + stall;
-        if let Some(t) = tel {
-            t.gpu_kernel(
-                label,
-                "element-wise",
-                start,
-                *now,
-                desc.dram_bytes(),
-                cost.bandwidth_bound,
-                true,
-            );
-        }
-        report.push_segment(GanttSegment {
-            start_ns: start,
-            end_ns: *now,
-            executor: Executor::Gpu,
-            class: "element-wise",
-            label,
-            degraded: true,
-        });
-    }
-
     fn describe_gpu_op(
         &self,
         op: &Op,
@@ -1281,7 +266,7 @@ impl<'a> Scheduler<'a> {
         class: KernelClass,
         cache: &mut L2Cache,
     ) -> KernelDesc {
-        let int_ops = self.int_ops(&op.kind, n);
+        let int_ops = Self::int_ops(&op.kind, n);
         let mut dram_read = 0u64;
         let mut dram_write = 0u64;
         let mut l2 = 0u64;
@@ -1309,6 +294,532 @@ impl<'a> Scheduler<'a> {
         let mut k = KernelDesc::new(class, int_ops, dram_read, dram_write);
         k.l2_bytes = l2;
         k
+    }
+}
+
+/// Where kernels may start: the one thing the two [`ScheduleMode`]s
+/// disagree on.
+#[derive(Debug)]
+enum Timeline {
+    /// One cursor shared by both engines.
+    Serial { now: f64 },
+    /// Two stream cursors plus the dependency horizon.
+    Pipelined(Box<Streams>),
+}
+
+/// The two-stream state. Each op is placed on its own stream's cursor at
+/// the earliest point its data dependencies allow. A dependency whose
+/// producer ran on the other stream pays one [`TRANSITION_NS`] handoff;
+/// same-stream work queues back-to-back for free. Coherence write-backs
+/// carry no tracked read/write sets, so every PIM kernel additionally
+/// waits for the last write-back to land plus one handoff — the
+/// conservative barrier that keeps PIM from reading stale bank rows.
+///
+/// `report.transitions` uses the same counting rule as serial mode
+/// (issue-order executor switches plus one per GPU fallback), so for a
+/// fault-free run `total_ns + stream_overlap_ns` reconstructs the serial
+/// makespan exactly.
+#[derive(Debug, Default)]
+struct Streams {
+    gpu_now: f64,
+    pim_now: f64,
+    last_flush_end: f64,
+    /// Each object's last producer's completion (overwrite: builders
+    /// allocate SSA-style, so the last write in issue order is the
+    /// program-order dependency).
+    writer_end: HashMap<u64, (f64, Executor)>,
+    /// Each object's latest reader completion (max-merge, because a
+    /// later-issued reader can finish earlier on the other stream).
+    reader_end: HashMap<u64, (f64, Executor)>,
+    /// Issue-order run-length segments per stream, for telemetry:
+    /// `(stream, start, end, ops, slide)` of the open segment.
+    seg: Option<(Executor, f64, f64, u32, f64)>,
+    seg_idx: u32,
+    prev_seg_end: f64,
+}
+
+impl Streams {
+    /// Earliest start permitted by `op`'s RAW/WAR/WAW dependencies, with a
+    /// [`TRANSITION_NS`] penalty on every edge whose other endpoint ran on
+    /// the opposite stream.
+    fn dep_ready_ns(&self, op: &Op, target: Executor) -> f64 {
+        let cross = |&(t, e): &(f64, Executor)| if e == target { t } else { t + TRANSITION_NS };
+        let mut ready = 0.0f64;
+        for r in &op.reads {
+            if let Some(w) = self.writer_end.get(&r.id) {
+                ready = ready.max(cross(w));
+            }
+        }
+        for w in &op.writes {
+            if let Some(p) = self.writer_end.get(&w.id) {
+                ready = ready.max(cross(p));
+            }
+            if let Some(p) = self.reader_end.get(&w.id) {
+                ready = ready.max(cross(p));
+            }
+        }
+        ready
+    }
+
+    /// Publishes the completion of `op` (issued to `target`, started at
+    /// `start`, finished by `done`) into the dependency horizon and the
+    /// stream-segment spans.
+    fn note(
+        &mut self,
+        op: &Op,
+        target: Executor,
+        start: f64,
+        done: (f64, Executor),
+        tel: Option<&mut Telemetry>,
+    ) {
+        let (end, on) = done;
+        if matches!(op.kind, OpKind::WriteBack { .. }) {
+            self.last_flush_end = end;
+        }
+        for r in &op.reads {
+            let e = self.reader_end.entry(r.id).or_insert((end, on));
+            if end >= e.0 {
+                *e = (end, on);
+            }
+        }
+        for w in &op.writes {
+            self.writer_end.insert(w.id, (end, on));
+        }
+        match self.seg.as_mut() {
+            Some(s) if s.0 == target => {
+                s.2 = s.2.max(end);
+                s.3 += 1;
+            }
+            _ => {
+                self.close_segment(tel);
+                let slide = if self.seg_idx == 0 {
+                    0.0
+                } else {
+                    (self.prev_seg_end + TRANSITION_NS - start).max(0.0)
+                };
+                self.seg = Some((target, start, end, 1, slide));
+            }
+        }
+    }
+
+    /// Emits the open stream segment, if any.
+    fn close_segment(&mut self, tel: Option<&mut Telemetry>) {
+        let Some((ex, s0, s1, ops, slide)) = self.seg.take() else {
+            return;
+        };
+        if let Some(t) = tel {
+            let stream = if ex == Executor::Gpu { "gpu" } else { "pim" };
+            t.stream_segment(stream, self.seg_idx, s0, s1, ops, slide);
+        }
+        self.seg_idx += 1;
+        self.prev_seg_end = s1;
+    }
+}
+
+impl Timeline {
+    /// The clock deadline budgets are checked against.
+    fn now(&self) -> f64 {
+        match self {
+            Timeline::Serial { now } => *now,
+            Timeline::Pipelined(s) => s.gpu_now.max(s.pim_now),
+        }
+    }
+
+    /// Where a kernel on `on` may start, stamping the handoff span when
+    /// the issue order switches engines here. Serial mode starts at its
+    /// cursor, one handoff later on a switch. Pipelined mode starts at the
+    /// stream's cursor or at `ready` (the dependency horizon), whichever is
+    /// later; PIM kernels also wait out the write-back barrier.
+    fn start(
+        &mut self,
+        on: Executor,
+        handoff: bool,
+        tel: Option<&mut Telemetry>,
+        ready: impl FnOnce(&Streams) -> f64,
+    ) -> f64 {
+        match self {
+            Timeline::Serial { now } => {
+                if handoff {
+                    if let Some(t) = tel {
+                        t.transition(*now, *now + TRANSITION_NS);
+                    }
+                    *now += TRANSITION_NS;
+                }
+                *now
+            }
+            Timeline::Pipelined(s) => {
+                let ready = ready(s);
+                let start = match on {
+                    Executor::Gpu => s.gpu_now.max(ready),
+                    Executor::Pim => s.pim_now.max(ready).max(s.last_flush_end + TRANSITION_NS),
+                };
+                if handoff {
+                    if let Some(t) = tel {
+                        t.transition((start - TRANSITION_NS).max(0.0), start);
+                    }
+                }
+                start
+            }
+        }
+    }
+
+    /// Moves the cursor of the engine that just finished at `end`.
+    fn advance(&mut self, on: Executor, end: f64) {
+        match self {
+            Timeline::Serial { now } => *now = end,
+            Timeline::Pipelined(s) => match on {
+                Executor::Gpu => s.gpu_now = end,
+                Executor::Pim => s.pim_now = end,
+            },
+        }
+    }
+}
+
+/// The state of one [`Scheduler::run`].
+struct Run<'s, 'r> {
+    sched: &'s Scheduler<'s>,
+    n: u64,
+    timeline: Timeline,
+    report: ExecutionReport,
+    cache: L2Cache,
+    injector: Option<FaultInjector>,
+    health: Option<&'r mut HealthRegistry>,
+    tel: Option<&'r mut Telemetry>,
+    /// The legacy (registry-free) switch-off after a hard fault.
+    pim_disabled: bool,
+    kernel_idx: u64,
+    last_exec: Executor,
+}
+
+impl Run<'_, '_> {
+    fn over_budget(&self) -> bool {
+        self.sched
+            .budget_ns
+            .is_some_and(|b| self.timeline.now() > b)
+    }
+
+    /// Dispatches one op; returns false when the budget check before it
+    /// (or before its PIM kernel) fails.
+    fn dispatch(&mut self, op: &Op) -> Result<bool, RunError> {
+        if self.over_budget() {
+            return Ok(false);
+        }
+        // After a legacy hard fault PIM is off, but serial mode still
+        // owes the rest of the current PIM run to the kernel routine,
+        // which re-executes it as degraded GPU fallbacks.
+        let serial = matches!(self.timeline, Timeline::Serial { .. });
+        let pim_open = !self.pim_disabled || (serial && self.last_exec == Executor::Pim);
+        let target = match op.executor {
+            Executor::Pim if self.sched.pim.is_some() && pim_open => Executor::Pim,
+            _ => Executor::Gpu,
+        };
+        let handoff = target != self.last_exec;
+        if handoff {
+            self.report.transitions += 1;
+            self.last_exec = target;
+        }
+        let start = self
+            .timeline
+            .start(target, handoff, self.tel.as_deref_mut(), |s| {
+                s.dep_ready_ns(op, target)
+            });
+        let done = match target {
+            Executor::Gpu => {
+                let (label, class) = Scheduler::kernel_class(&op.kind);
+                let desc = self
+                    .sched
+                    .describe_gpu_op(op, self.n, class, &mut self.cache);
+                (
+                    self.gpu_kernel(op.label, label, desc, start, false),
+                    Executor::Gpu,
+                )
+            }
+            Executor::Pim => {
+                if self.over_budget() {
+                    return Ok(false);
+                }
+                let (instr, limbs) = match op.kind {
+                    OpKind::Ew { instr, limbs } => (instr, limbs),
+                    _ => unreachable!("only element-wise ops are offloaded"),
+                };
+                let spec = PimKernelSpec {
+                    instr,
+                    limbs,
+                    n: self.n as usize,
+                };
+                self.pim_kernel(spec, op.label, start)?
+            }
+        };
+        if let Timeline::Pipelined(s) = &mut self.timeline {
+            s.note(op, target, start, done, self.tel.as_deref_mut());
+        }
+        Ok(true)
+    }
+
+    /// Charges one GPU kernel from `start`, sampling the GPU fault domain,
+    /// and returns its end.
+    fn gpu_kernel(
+        &mut self,
+        label: &'static str,
+        class: &'static str,
+        desc: KernelDesc,
+        start: f64,
+        degraded: bool,
+    ) -> f64 {
+        let cost = self.sched.gpu.cost(&desc);
+        self.report.gpu_dram_bytes += desc.dram_bytes();
+        self.report.energy_j += cost.energy_j;
+        let stall = self.gpu_faults();
+        let end = start + (cost.time_ns + stall);
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.gpu_kernel(
+                label,
+                class,
+                start,
+                end,
+                desc.dram_bytes(),
+                cost.bandwidth_bound,
+                degraded,
+            );
+        }
+        self.report.push_segment(GanttSegment {
+            start_ns: start,
+            end_ns: end,
+            executor: Executor::Gpu,
+            class,
+            label,
+            degraded,
+        });
+        self.timeline.advance(Executor::Gpu, end);
+        end
+    }
+
+    /// Samples the GPU-side fault domain at one GPU kernel launch: returns
+    /// the extra latency of an injected stream stall, and fails the
+    /// end-to-end integrity verdict on an injected transfer bit flip (the
+    /// GPU path has no per-kernel residue check to catch it earlier).
+    /// Zero-probability plans draw nothing from the fault stream.
+    fn gpu_faults(&mut self) -> f64 {
+        let mut extra = 0.0;
+        if let Some(inj) = self.injector.as_mut() {
+            if let Some(stall) = inj.sample_gpu_stall() {
+                extra += stall;
+                self.report.gpu_stalls += 1;
+            }
+            if inj.sample_gpu_transfer_flip() {
+                self.report.gpu_faults += 1;
+                self.report.integrity_failed = true;
+            }
+        }
+        extra
+    }
+
+    /// Runs one PIM kernel from `start`: executes it (under fault injection
+    /// when configured), retries transient integrity failures under the
+    /// retry policy, and re-executes on the GPU what PIM cannot complete.
+    /// With a registry the kernel is attributed to a bank health domain:
+    /// an open breaker routes it straight to the GPU, its faults are
+    /// scoped to that domain ([`PimExecutor::execute_with_faults_scoped`]),
+    /// and its outcome feeds the domain's breaker. Without one, the first
+    /// hard fault switches PIM off for the rest of the run. Returns the
+    /// kernel's completion and the engine that finished it.
+    fn pim_kernel(
+        &mut self,
+        spec: PimKernelSpec,
+        label: &'static str,
+        start: f64,
+    ) -> Result<(f64, Executor), RunError> {
+        let kid = self.kernel_idx;
+        self.kernel_idx += 1;
+        // (bank, domain, decision) when breaker-gated.
+        let mut gate = None;
+        if let Some(reg) = self.health.as_deref_mut() {
+            let bank = reg.assign_domain();
+            let domain = BankDomain::new(bank, reg.domains() as u32);
+            let (decision, transition) = reg.decide(bank, start);
+            self.breaker_transition(transition, start);
+            if decision == PathDecision::Skip {
+                self.report.breaker_skips += 1;
+                if let Some(tl) = self.tel.as_deref_mut() {
+                    tl.breaker_skip();
+                }
+                // No PIM attempt was made, so the PIM cursor does not move.
+                return Ok((self.fallback(&spec, label, start), Executor::Gpu));
+            }
+            gate = Some((bank, domain, decision));
+        } else if self.pim_disabled {
+            // Serial mode: the rest of the PIM run a hard fault cut short.
+            return Ok((self.fallback(&spec, label, start), Executor::Gpu));
+        }
+        let (dev, layout) = self.sched.pim.expect("PIM kernels need a PIM device");
+        let exec = PimExecutor::new(dev, layout);
+        let mut cursor = start;
+        let mut retries = 0u32;
+        let mut backoff_spent = 0.0f64;
+        loop {
+            let outcome = match self.injector.as_mut() {
+                Some(inj) => exec.execute_with_faults_scoped(&spec, inj, gate.map(|g| g.1)),
+                None => exec.execute(&spec),
+            };
+            let violation = match outcome {
+                Ok(r) => {
+                    self.pim_segment(dev, &r, label, false, &mut cursor);
+                    if let (Some((bank, ..)), Some(reg)) = (gate, self.health.as_deref_mut()) {
+                        let transition = reg.on_success(bank, cursor);
+                        self.breaker_transition(transition, cursor);
+                    }
+                    self.timeline.advance(Executor::Pim, cursor);
+                    return Ok((cursor, Executor::Pim));
+                }
+                Err(PimError::IntegrityViolation(violation)) => violation,
+                Err(e) => return Err(RunError::Pim(e)),
+            };
+            self.report.faults_detected += 1;
+            if let Some(reg) = self.health.as_deref_mut() {
+                reg.counters.faults_detected += 1;
+            }
+            if let Some(t) = self.tel.as_deref_mut() {
+                t.fault();
+            }
+            // The failed attempt still burned time and energy.
+            self.pim_segment(dev, &violation.wasted, label, true, &mut cursor);
+            let permanent = violation.is_permanent();
+            if permanent && gate.is_none() {
+                // Hard fault (stuck MMAC lane): retrying on PIM cannot
+                // succeed — switch the path off for good.
+                self.pim_disabled = true;
+            }
+            // A half-open probe gets exactly one attempt; hard faults are
+            // never retried.
+            let may_retry = !permanent && gate.is_none_or(|g| g.2 == PathDecision::Allow);
+            if may_retry
+                && retries < self.sched.retry.max_retries
+                && self.backoff(kid, retries + 1, &mut backoff_spent, &mut cursor)
+            {
+                retries += 1;
+                self.report.pim_retries += 1;
+                if let Some(reg) = self.health.as_deref_mut() {
+                    reg.counters.pim_retries += 1;
+                }
+                if let Some(t) = self.tel.as_deref_mut() {
+                    t.retry();
+                }
+                continue;
+            }
+            if let (Some((bank, ..)), Some(reg)) = (gate, self.health.as_deref_mut()) {
+                reg.counters.gpu_fallbacks += 1;
+                let transition = reg.on_failure(bank, permanent, cursor, violation.cause());
+                self.breaker_transition(transition, cursor);
+            }
+            self.report.pim_fallbacks += 1;
+            if let Some(t) = self.tel.as_deref_mut() {
+                t.fallback();
+            }
+            self.timeline.advance(Executor::Pim, cursor);
+            return Ok((self.fallback(&spec, label, cursor), Executor::Gpu));
+        }
+    }
+
+    /// Records a breaker transition at local time `at`, if there was one.
+    fn breaker_transition(&mut self, transition: Option<BreakerTransition>, at: f64) {
+        if let Some(t) = transition {
+            if let Some(tl) = self.tel.as_deref_mut() {
+                tl.breaker_transition(&t, at);
+            }
+            self.report.breaker_transitions.push(t);
+        }
+    }
+
+    /// Charges a PIM attempt (successful or wasted) from `cursor`.
+    fn pim_segment(
+        &mut self,
+        dev: &PimDeviceConfig,
+        r: &PimKernelResult,
+        label: &'static str,
+        degraded: bool,
+        cursor: &mut f64,
+    ) {
+        let start = *cursor;
+        *cursor += r.latency_ns;
+        self.report.energy_j += r.energy_joules(dev);
+        self.report.pim_dram_bytes += r.bytes_internal;
+        if let Some(t) = self.tel.as_deref_mut() {
+            t.pim_kernel(label, start, *cursor, r, degraded);
+        }
+        self.report.push_segment(GanttSegment {
+            start_ns: start,
+            end_ns: *cursor,
+            executor: Executor::Pim,
+            class: "element-wise",
+            label,
+            degraded,
+        });
+    }
+
+    /// Computes (and charges, if affordable) the backoff before the next
+    /// retry of kernel `kid`. Returns false when the backoff budget is
+    /// exhausted and the kernel should fall back instead.
+    fn backoff(&mut self, kid: u64, attempt: u32, spent: &mut f64, cursor: &mut f64) -> bool {
+        let retry = &self.sched.retry;
+        let b = retry.backoff_ns(kid, attempt);
+        if *spent + b > retry.budget_ns {
+            return false;
+        }
+        if let Some(t) = self.tel.as_deref_mut() {
+            if b > 0.0 {
+                t.backoff(*cursor, *cursor + b);
+            }
+        }
+        *spent += b;
+        *cursor += b;
+        self.report.backoff_ns += b;
+        true
+    }
+
+    /// Re-executes a PIM kernel on the GPU after PIM gave up on it at
+    /// `fail_end`. The operands are PIM-resident, so the kernel streams
+    /// everything through DRAM with no L2 reuse, and the re-dispatch pays
+    /// one PIM→GPU handoff; in pipelined mode it also queues behind
+    /// whatever the GPU stream is already running, so a fallback never
+    /// overlaps another kernel on the same engine. (The serial cursor is
+    /// already at `fail_end`.)
+    fn fallback(&mut self, spec: &PimKernelSpec, label: &'static str, fail_end: f64) -> f64 {
+        let tel = self.tel.as_deref_mut();
+        let start = self
+            .timeline
+            .start(Executor::Gpu, true, tel, |_| fail_end + TRANSITION_NS);
+        self.report.transitions += 1;
+        let p = spec.instr.profile();
+        let dram_read = (p.total_reads() * spec.limbs * spec.n * 4) as u64;
+        let dram_write = (p.total_writes() * spec.limbs * spec.n * 4) as u64;
+        let int_ops = (spec.n * spec.limbs) as u64 * spec.instr.mmac_ops_per_element() as u64 * 6;
+        let desc = KernelDesc::new(KernelClass::ElementWise, int_ops, dram_read, dram_write);
+        self.gpu_kernel(label, "element-wise", desc, start, true)
+    }
+
+    fn finish(mut self) -> ExecutionReport {
+        match &mut self.timeline {
+            Timeline::Serial { now } => self.report.total_ns = *now,
+            Timeline::Pipelined(s) => {
+                s.close_segment(self.tel.as_deref_mut());
+                self.report.total_ns = s.gpu_now.max(s.pim_now);
+                // How much virtual time the two streams hid: the
+                // serial-equivalent span (kernels + handoffs + backoff)
+                // minus the pipelined makespan.
+                let r = &mut self.report;
+                let kernel_ns: f64 = r.breakdown_ns.values().sum();
+                let serial_equiv =
+                    kernel_ns + f64::from(r.transitions) * TRANSITION_NS + r.backoff_ns;
+                r.stream_overlap_ns = (serial_equiv - r.total_ns).max(0.0);
+                if let Some(t) = self.tel.as_deref_mut() {
+                    t.stream_overlap(r.stream_overlap_ns);
+                }
+            }
+        }
+        if let Some(t) = self.tel {
+            t.run_complete(&self.report);
+        }
+        self.report
     }
 }
 
@@ -1354,7 +865,9 @@ mod tests {
         let m = gpu_model();
         let mut seq = lt(true);
         fuse(&mut seq, &FusionConfig::gpu_baseline());
-        let r = Scheduler::gpu_only(&m).run(&seq).unwrap();
+        let r = Scheduler::gpu_only(&m)
+            .run(&seq, RunOpts::default())
+            .unwrap();
         assert!(r.total_ns > 0.0);
         assert!(r.energy_j > 0.0);
         assert!(r.fraction("element-wise") > 0.1, "EW must be visible");
@@ -1371,7 +884,9 @@ mod tests {
 
         let mut gpu_seq = lt(true);
         fuse(&mut gpu_seq, &FusionConfig::gpu_baseline());
-        let gpu_r = Scheduler::gpu_only(&m).run(&gpu_seq).unwrap();
+        let gpu_r = Scheduler::gpu_only(&m)
+            .run(&gpu_seq, RunOpts::default())
+            .unwrap();
 
         let mut pim_seq = lt(true);
         fuse(&mut pim_seq, &FusionConfig::full());
@@ -1380,7 +895,7 @@ mod tests {
             &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0),
         );
         let pim_r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&pim_seq)
+            .run(&pim_seq, RunOpts::default())
             .unwrap();
 
         assert!(
@@ -1407,7 +922,7 @@ mod tests {
         fuse(&mut seq, &FusionConfig::full());
         offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
         let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         // Transition overhead must stay negligible (§V-C).
         let overhead = r.transitions as f64 * TRANSITION_NS;
@@ -1425,7 +940,7 @@ mod tests {
         fuse(&mut seq, &FusionConfig::full());
         offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         let kernels = clean
             .segments
@@ -1437,7 +952,7 @@ mod tests {
         let plan = FaultPlan::none().with_seed(11).with_bank_flips(1.0);
         let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_fault_plan(plan)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert_eq!(r.faults_detected, kernels * (1 + MAX_PIM_RETRIES));
         assert_eq!(r.pim_retries, kernels * MAX_PIM_RETRIES);
@@ -1466,7 +981,7 @@ mod tests {
         let plan = FaultPlan::none().with_seed(5).with_stuck_lane(3);
         let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_fault_plan(plan)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert_eq!(r.faults_detected, 1, "first attempt detects the hard fault");
         assert_eq!(r.pim_retries, 0, "hard faults are never retried");
@@ -1495,11 +1010,11 @@ mod tests {
         fuse(&mut seq, &FusionConfig::full());
         offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         let benign = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_fault_plan(FaultPlan::none())
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert_eq!(clean.total_ns, benign.total_ns);
         assert_eq!(benign.faults_detected, 0);
@@ -1534,11 +1049,11 @@ mod tests {
         let dev = PimDeviceConfig::a100_near_bank();
         let seq = offloaded_bootstrap(&m, &dev);
         let serial = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         let pipe = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_mode(ScheduleMode::Pipelined)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         let speedup = serial.total_ns / pipe.total_ns;
         assert!(
@@ -1574,11 +1089,11 @@ mod tests {
         let mut seq = lt(true);
         fuse(&mut seq, &FusionConfig::gpu_baseline());
         let serial = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         let pipe = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_mode(ScheduleMode::Pipelined)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert_eq!(serial.total_ns, pipe.total_ns);
         assert_eq!(serial.gpu_dram_bytes, pipe.gpu_dram_bytes);
@@ -1598,7 +1113,7 @@ mod tests {
             Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
                 .with_mode(ScheduleMode::Pipelined)
                 .with_fault_plan(plan)
-                .run(&seq)
+                .run(&seq, RunOpts::default())
                 .unwrap()
         };
         let a = run();
@@ -1634,14 +1149,14 @@ mod tests {
         fuse(&mut seq, &FusionConfig::full());
         offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert!(!clean.cancelled);
 
         // A generous budget changes nothing.
         let roomy = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_deadline_budget(clean.total_ns * 10.0)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert!(!roomy.cancelled);
         assert_eq!(roomy.total_ns, clean.total_ns);
@@ -1651,12 +1166,53 @@ mod tests {
         // work ran, and the consumed time is what the report carries.
         let tight = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_deadline_budget(clean.total_ns * 0.3)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert!(tight.cancelled, "30% budget must cancel the run");
         assert!(tight.total_ns < clean.total_ns);
         assert!(tight.segments.len() < clean.segments.len());
         assert!(tight.summary_line().contains("CANCELLED over budget"));
+    }
+
+    #[test]
+    fn cancelled_runs_charge_nothing_past_the_budget() {
+        // Budget at the midpoint of every PIM kernel of the clean run, in
+        // both modes: the check before each op and each PIM kernel may
+        // still let one handoff start, but nothing may start later.
+        let m = gpu_model();
+        let dev = PimDeviceConfig::a100_near_bank();
+        let mut seq = lt(true);
+        fuse(&mut seq, &FusionConfig::full());
+        offload(&mut seq, &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0));
+        for mode in [ScheduleMode::Serial, ScheduleMode::Pipelined] {
+            let s =
+                || Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned).with_mode(mode);
+            let clean = s().run(&seq, RunOpts::default()).unwrap();
+            let pim_segments: Vec<_> = clean
+                .segments
+                .iter()
+                .filter(|g| g.executor == Executor::Pim)
+                .collect();
+            assert!(
+                pim_segments.len() > 10,
+                "{mode:?}: offload must produce PIM kernels"
+            );
+            for seg in pim_segments {
+                let budget = 0.5 * (seg.start_ns + seg.end_ns);
+                let r = s()
+                    .with_deadline_budget(budget)
+                    .run(&seq, RunOpts::default())
+                    .unwrap();
+                for g in &r.segments {
+                    assert!(
+                        g.start_ns <= budget + TRANSITION_NS,
+                        "{mode:?}: {} charged from {} ns past budget {budget} ns",
+                        g.label,
+                        g.start_ns
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1666,12 +1222,12 @@ mod tests {
         let seq = offloaded_bootstrap(&m, &dev);
         let clean = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_mode(ScheduleMode::Pipelined)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         let tight = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
             .with_mode(ScheduleMode::Pipelined)
             .with_deadline_budget(clean.total_ns * 0.25)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert!(tight.cancelled);
         assert!(tight.total_ns < clean.total_ns);
@@ -1682,11 +1238,13 @@ mod tests {
         let m = gpu_model();
         let mut seq = lt(true);
         fuse(&mut seq, &FusionConfig::gpu_baseline());
-        let clean = Scheduler::gpu_only(&m).run(&seq).unwrap();
+        let clean = Scheduler::gpu_only(&m)
+            .run(&seq, RunOpts::default())
+            .unwrap();
         let plan = FaultPlan::none().with_seed(7).with_gpu_stalls(1.0, 5000.0);
         let r = Scheduler::gpu_only(&m)
             .with_fault_plan(plan)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         let kernels = clean.segments.len() as u32;
         assert_eq!(r.gpu_stalls, kernels, "every launch must stall at p=1");
@@ -1707,11 +1265,13 @@ mod tests {
         let m = gpu_model();
         let mut seq = lt(true);
         fuse(&mut seq, &FusionConfig::gpu_baseline());
-        let clean = Scheduler::gpu_only(&m).run(&seq).unwrap();
+        let clean = Scheduler::gpu_only(&m)
+            .run(&seq, RunOpts::default())
+            .unwrap();
         let plan = FaultPlan::none().with_seed(9).with_gpu_transfer_flips(1.0);
         let r = Scheduler::gpu_only(&m)
             .with_fault_plan(plan)
-            .run(&seq)
+            .run(&seq, RunOpts::default())
             .unwrap();
         assert!(r.integrity_failed, "a flip must fail the e2e verdict");
         assert_eq!(r.gpu_faults, clean.segments.len() as u32);
@@ -1734,7 +1294,7 @@ mod tests {
             &OffloadPolicy::from_parts(1802.0, 16.0, 2000.0),
         );
         let r = Scheduler::with_pim(&m, &dev, LayoutPolicy::ColumnPartitioned)
-            .run(&with_wb)
+            .run(&with_wb, RunOpts::default())
             .unwrap();
         assert!(r.gpu_dram_bytes >= stats.writeback_bytes);
     }

@@ -11,7 +11,8 @@
 //!   only, no async runtime) with deterministic pop order.
 //! - [`engine`] — parallel request preparation (vendored `parpool`),
 //!   serial virtual-time dispatch through the breaker-gated scheduler
-//!   ([`anaheim_core::schedule::Scheduler::run_with_health`]), and a
+//!   ([`anaheim_core::framework::Anaheim::scheduler`] with the engine's
+//!   registry in [`anaheim_core::schedule::RunOpts`]), and a
 //!   persistent [`anaheim_core::health::HealthRegistry`].
 //! - [`router`] — seeded rendezvous hashing from tenants to replica
 //!   shards: stable homes, minimal movement on failover.

@@ -31,6 +31,12 @@ ANAHEIM_THREADS=1 cargo test -q --test trace_determinism
 echo "==> trace determinism (ANAHEIM_THREADS=8)"
 ANAHEIM_THREADS=8 cargo test -q --test trace_determinism
 
+echo "==> schedule digests (ANAHEIM_THREADS=1)"
+ANAHEIM_THREADS=1 cargo test -q -p anaheim-core --test schedule_digest
+
+echo "==> schedule digests (ANAHEIM_THREADS=8)"
+ANAHEIM_THREADS=8 cargo test -q -p anaheim-core --test schedule_digest
+
 echo "==> bench smoke (scripts/bench.sh --quick)"
 scripts/bench.sh --quick
 
