@@ -39,8 +39,8 @@
 //!   (`writer_end` / `reader_end`: each object's last producer and
 //!   readers), the write-back barrier, and the stream-segment spans.
 //!
-//! Four differences between the modes are deliberate, and
-//! `crates/core/tests/schedule_digest.rs` pins them:
+//! The modes differ deliberately in three ways and agree deliberately in a
+//! fourth; `crates/core/tests/schedule_digest.rs` pins all four:
 //!
 //! 1. Serial builds and consults no dependency horizon. After a GPU
 //!    fallback inside a PIM run, serial resumes PIM with no handoff, where
@@ -51,9 +51,9 @@
 //!    PIM-tagged ops run as plain GPU kernels with L2 reuse.
 //! 3. Handoff spans: serial stamps `(now, now + T)`, pipelined stamps
 //!    `((start − T).max(0), start)`, which are not bit-equal in f64.
-//! 4. GPU kernel end times are `start + (cost + stall)` in both modes; the
-//!    two-stream pass used to compute `(start + cost) + stall`, which
-//!    differs only when a GPU stall is injected.
+//! 4. End times: both modes end a GPU kernel at `start + (cost + stall)`,
+//!    serial's association, which matters only when a GPU stall is
+//!    injected.
 
 use std::collections::HashMap;
 
@@ -232,7 +232,7 @@ impl<'a> Scheduler<'a> {
 
     /// Integer ops a GPU kernel of this kind executes (one modmul ≈ 8
     /// 32-bit mul-adds plus surrounding adds, §III-A D2).
-    fn int_ops(kind: &OpKind, n: u64) -> u64 {
+    fn int_ops(&self, kind: &OpKind, n: u64) -> u64 {
         match *kind {
             OpKind::Ntt { limbs } | OpKind::Intt { limbs } => {
                 let log_n = 63 - n.leading_zeros() as u64;
@@ -266,7 +266,7 @@ impl<'a> Scheduler<'a> {
         class: KernelClass,
         cache: &mut L2Cache,
     ) -> KernelDesc {
-        let int_ops = Self::int_ops(&op.kind, n);
+        let int_ops = self.int_ops(&op.kind, n);
         let mut dram_read = 0u64;
         let mut dram_write = 0u64;
         let mut l2 = 0u64;
